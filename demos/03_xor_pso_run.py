@@ -34,11 +34,8 @@ def main():
     seeding_rng, swarm_rng = (
         np.random.Generator(np.random.PCG64(c)) for c in seed_seq
     )
-    scores = score_features(split.train, bin_count=config.seeding.bins)
-    masks = seed_masks(
-        scores, config.population,
-        seeded_fraction=config.seeding.seeded_fraction, rng=seeding_rng,
-    )
+    scores = score_features(split.train, bin_count=10)
+    masks = seed_masks(scores, config.population, rng=seeding_rng)
 
     print(f"{'iter':>4} {'fitness':>9} {'accuracy':>9} {'selected':>9} {'inertia':>8}")
     last = None

@@ -35,9 +35,7 @@ from .swarm import (
     SYNCHRONOUS,
     BaselineConfig,
     IterationRecord,
-    Particle,
     PsoConfig,
-    SeedingConfig,
     SwarmState,
     TraceWriter,
     brute_force_best,
@@ -67,9 +65,7 @@ __all__ = [
     "IterationRecord",
     "KnnConfig",
     "MiScores",
-    "Particle",
     "PsoConfig",
-    "SeedingConfig",
     "SplitDataset",
     "SwarmState",
     "SynthProvenance",

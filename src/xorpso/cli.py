@@ -32,6 +32,7 @@ import statistics
 import sys
 import tempfile
 import time
+import typing
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -55,7 +56,6 @@ from .swarm import (
     SYNCHRONOUS,
     BaselineConfig,
     PsoConfig,
-    SeedingConfig,
     TraceWriter,
     brute_force_best,
     evaluate_particle,
@@ -122,39 +122,41 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(values) - known)
+        annotations = typing.get_type_hints(cls)
+        unknown = sorted(set(values) - set(annotations))
         if unknown:
             raise CliError(f"unknown config key(s): {', '.join(unknown)}")
+        for key, value in values.items():
+            _check_type(key, value, annotations[key])
         return cls(**values)
 
     def pso_config(self) -> PsoConfig:
-        return PsoConfig(
-            population=self.population,
-            iterations=self.iterations,
-            w_initial=self.w_initial,
-            w_decay=self.w_decay,
-            w_period=self.w_period,
-            w_min=self.w_min,
-            accuracy_threshold=self.threshold,
-            knn=KnnConfig(k=self.knn_k),
-            seed=self.seed,
-            update_mode=self.update_mode,
-            seeding=SeedingConfig(
-                seeded_fraction=self.seeded_fraction,
-                top_m=self.top_m,
-                bins=self.bins,
-            ),
-        )
+        return self._swarm_config(PsoConfig)
 
     def baseline_config(self) -> BaselineConfig:
-        base = self.pso_config()
-        return BaselineConfig(
-            **{f.name: getattr(base, f.name) for f in fields(PsoConfig)},
-            c1=self.c1,
-            c2=self.c2,
-            v_clamp=self.v_clamp,
+        return self._swarm_config(BaselineConfig)
+
+    def _swarm_config(self, cls):
+        # swarm-config fields with a RunConfig namesake are copied by name
+        shared = {
+            f.name: getattr(self, f.name) for f in fields(cls) if hasattr(self, f.name)
+        }
+        return cls(
+            **shared, accuracy_threshold=self.threshold, knn=KnnConfig(k=self.knn_k)
         )
+
+
+def _check_type(key: str, value, annotation) -> None:
+    """Reject a config value of a type its field does not allow.
+
+    The check is on the exact type, so ``true`` is never an int; an int is
+    accepted where a float is expected.
+    """
+    expected = typing.get_args(annotation) or (annotation,)
+    allowed = set(expected) | ({int} if float in expected else set())
+    if type(value) not in allowed:
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in expected)
+        raise CliError(f"config key {key!r} must be {names}, got {value!r}")
 
 
 def parse_synth(text: str) -> SynthSpec:

@@ -16,11 +16,16 @@ raw validation accuracy; at or above it, the score becomes
 ``2 - selected/total`` so threshold-achieving particles always outrank the
 rest and then compete on sparsity alone.
 
-Determinism: runs are driven by a single seeded PCG64 generator with a
-fixed draw order (particles in index order; one uniform block per particle
-per iteration, laid out bit-major).  Given (seed, config, dataset), every
-trace field except ``elapsed_ms`` is reproducible bit-for-bit, and in
-synchronous mode the result is independent of the evaluation worker count.
+The swarm is held as P×n arrays (one row per particle), so each move rule
+is a few array expressions that act on one row or on the whole swarm.
+
+Determinism: a run is driven by one caller-supplied generator with a fixed
+draw order: one ``rng.random((P, n, c))`` block at the start of every
+iteration, c = 2 for the XOR optimizer and 3 for the baseline; row i is
+particle i's block, laid out bit-major.  Evaluation draws nothing.  Given
+(generator state, config, dataset), every trace field except
+``elapsed_ms`` is reproducible bit-for-bit, and in synchronous mode the
+result is independent of the evaluation worker count.
 """
 
 from __future__ import annotations
@@ -71,23 +76,6 @@ def sigmoid(v):
 
 
 @dataclass(frozen=True)
-class SeedingConfig:
-    """How the initial population is biased by mutual-information scores."""
-
-    seeded_fraction: float = 0.2
-    top_m: int | None = None
-    bins: int = 10
-
-    def __post_init__(self):
-        if not 0.0 <= self.seeded_fraction <= 1.0:
-            raise ValueError(
-                f"seeded_fraction must be in [0, 1], got {self.seeded_fraction}"
-            )
-        if self.bins < 2:
-            raise ValueError(f"bins must be >= 2, got {self.bins}")
-
-
-@dataclass(frozen=True)
 class PsoConfig:
     """Swarm size, schedule, fitness threshold, and evaluation settings."""
 
@@ -99,9 +87,7 @@ class PsoConfig:
     w_min: float = 0.0
     accuracy_threshold: float = 0.98
     knn: KnnConfig = field(default_factory=KnnConfig)
-    seed: int = 42
     update_mode: str = ASYNCHRONOUS
-    seeding: SeedingConfig = field(default_factory=SeedingConfig)
 
     def __post_init__(self):
         if self.population < 1:
@@ -144,35 +130,44 @@ class BaselineConfig(PsoConfig):
 
 
 @dataclass
-class Particle:
-    """One candidate solution: position mask, velocity, and personal-best memory.
-
-    The XOR optimizer stores velocity as 0/1 int8; the baseline stores a
-    real-valued float64 velocity.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: float
-    pbest_accuracy: float
-
-
-@dataclass
 class SwarmState:
     """Mutable optimizer state shared with per-iteration callbacks.
 
+    Row i of ``position``, ``velocity`` and ``pbest_position`` (P×n) and
+    entry i of ``pbest_fitness`` and ``pbest_accuracy`` (length P) belong
+    to particle i.  Positions are 0/1 int8; the XOR optimizer stores
+    velocity as 0/1 int8, the baseline as real-valued float64.
     ``iteration`` counts completed iterations; the global best never
     worsens and re-evaluating ``gbest_position`` reproduces
     ``gbest_fitness`` exactly.
     """
 
-    particles: list[Particle]
+    position: np.ndarray
+    velocity: np.ndarray
+    pbest_position: np.ndarray
+    pbest_fitness: np.ndarray
+    pbest_accuracy: np.ndarray
     gbest_position: np.ndarray
     gbest_fitness: float
     gbest_accuracy: float
     iteration: int
     inertia: float
+
+    def commit(self, i: int, evaluation: tuple[float, float]) -> None:
+        """Take the evaluation ``(accuracy, fitness)`` of particle i's position.
+
+        A personal or global best moves only on strictly greater fitness, so
+        committing particles in index order keeps the lowest index on ties.
+        """
+        accuracy, fit = evaluation
+        if fit > self.pbest_fitness[i]:
+            self.pbest_position[i] = self.position[i]
+            self.pbest_fitness[i] = fit
+            self.pbest_accuracy[i] = accuracy
+        if self.pbest_fitness[i] > self.gbest_fitness:
+            self.gbest_position = self.pbest_position[i].copy()
+            self.gbest_fitness = float(self.pbest_fitness[i])
+            self.gbest_accuracy = float(self.pbest_accuracy[i])
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,12 @@ def evaluate_particle(
 
 
 def xor_velocity_update(
-    particle: Particle, gbest: np.ndarray, w: float, rng: np.random.Generator
+    x: np.ndarray,
+    v: np.ndarray,
+    pbest: np.ndarray,
+    gbest: np.ndarray,
+    w: float,
+    u: np.ndarray,
 ) -> np.ndarray:
     """Next binary velocity from inertia plus randomly weighted best-disparities.
 
@@ -244,22 +244,18 @@ def xor_velocity_update(
     with R1 ~ Uniform(-1, 1) and R2 ~ Uniform(0, 1) drawn independently per
     bit, and the new velocity bit is 1 exactly where ``raw_j >= 0.5``.
 
-    Draw order: one ``rng.random((n, 2))`` block per call; for each bit the
-    first column maps to R1 and the second is R2.
+    ``x``, ``v`` and ``pbest`` are one particle's length-n rows or the
+    swarm's P×n matrices; ``gbest`` has length n.  ``u`` holds the
+    uniforms, shape ``x.shape + (2,)``: the first column maps to
+    ``R1 = 2u - 1`` and the second is R2.
     """
-    x = particle.position
-    if gbest.shape != x.shape:
+    if gbest.shape != x.shape[-1:]:
         raise ValueError(
             f"gbest length {gbest.shape} does not match position {x.shape}"
         )
-    u = rng.random((x.shape[0], 2))
-    r1 = 2.0 * u[:, 0] - 1.0
-    r2 = u[:, 1]
-    raw = (
-        w * particle.velocity
-        + r1 * np.bitwise_xor(particle.pbest_position, x)
-        + r2 * np.bitwise_xor(gbest, x)
-    )
+    r1 = 2.0 * u[..., 0] - 1.0
+    r2 = u[..., 1]
+    raw = w * v + r1 * np.bitwise_xor(pbest, x) + r2 * np.bitwise_xor(gbest, x)
     return (raw >= 0.5).astype(np.int8)
 
 
@@ -270,6 +266,37 @@ def position_update(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     if x.shape != v.shape:
         raise ValueError(f"position {x.shape} and velocity {v.shape} differ in length")
     return np.bitwise_xor(x, v).astype(np.int8)
+
+
+def baseline_move(
+    x: np.ndarray,
+    v: np.ndarray,
+    pbest: np.ndarray,
+    gbest: np.ndarray,
+    w: float,
+    u: np.ndarray,
+    config: BaselineConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sigmoid-transfer move: the next real velocity and the resampled position.
+
+    Per bit: ``V' = w*V + c1*R1*(Pbest - X) + c2*R2*(Gbest - X)`` with
+    R1, R2 ~ Uniform(0, 1), clamped to ``[-v_clamp, v_clamp]``; the new
+    position bit is 1 with probability ``sigmoid(V')``.  Shapes as in
+    :func:`xor_velocity_update`, with three uniform columns: R1, R2 and the
+    position-sampling uniform.
+    """
+    vel = (
+        w * v
+        + config.c1 * u[..., 0] * (pbest - x)
+        + config.c2 * u[..., 1] * (gbest - x)
+    )
+    np.clip(vel, -config.v_clamp, config.v_clamp, out=vel)
+    return vel, (u[..., 2] < sigmoid(vel)).astype(np.int8)
+
+
+def _xor_move(x, v, pbest, gbest, w, u):
+    vel = xor_velocity_update(x, v, pbest, gbest, w, u)
+    return vel, position_update(x, vel)
 
 
 def _validate_initial_masks(initial_masks, config: PsoConfig, n_features: int):
@@ -288,7 +315,7 @@ def _validate_initial_masks(initial_masks, config: PsoConfig, n_features: int):
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError(f"initial mask {i} has bits outside {{0, 1}}")
         positions.append(arr)
-    return positions
+    return np.array(positions)
 
 
 def _run_swarm(
@@ -297,16 +324,26 @@ def _run_swarm(
     initial_masks,
     move: Callable,
     velocity_dtype,
-    rng: np.random.Generator | None,
+    draws: int,
+    rng: np.random.Generator,
     workers: int,
     on_record,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
-    """Shared driver: init, iterate, update bests, emit one record per iteration."""
+    """Shared driver: init, iterate, update bests, emit one record per iteration.
+
+    ``move(x, v, pbest, gbest, w, u)`` returns the next velocity and
+    position of one row or of the whole swarm; ``u`` has ``draws``
+    uniform columns per bit.
+    """
     n = split.feature_count
-    positions = _validate_initial_masks(initial_masks, config, n)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    position = _validate_initial_masks(initial_masks, config, n)
     synchronous = config.update_mode == SYNCHRONOUS
+    if workers > 1 and not synchronous:
+        raise ValueError(
+            f"workers={workers} needs update_mode={SYNCHRONOUS!r}; "
+            f"update_mode={config.update_mode!r} evaluates one particle at a time"
+        )
+    population = config.population
 
     pool = None
     if synchronous and workers > 1:
@@ -320,71 +357,45 @@ def _run_swarm(
 
         # the initial population is evaluated up front so the first velocity
         # update has a defined global best
-        initial_evals = evaluate_many(positions)
-        particles = [
-            Particle(
-                position=pos,
-                velocity=np.zeros(n, dtype=velocity_dtype),
-                pbest_position=pos.copy(),
-                pbest_fitness=fit,
-                pbest_accuracy=acc,
-            )
-            for pos, (acc, fit) in zip(positions, initial_evals)
-        ]
         state = SwarmState(
-            particles=particles,
-            gbest_position=particles[0].pbest_position.copy(),
+            position=position,
+            velocity=np.zeros((population, n), dtype=velocity_dtype),
+            pbest_position=position.copy(),
+            pbest_fitness=np.full(population, -np.inf),
+            pbest_accuracy=np.zeros(population),
+            gbest_position=position[0].copy(),
             gbest_fitness=-np.inf,
             gbest_accuracy=0.0,
             iteration=0,
             inertia=config.w_initial,
         )
-        for p in particles:
-            if p.pbest_fitness > state.gbest_fitness:
-                state.gbest_position = p.pbest_position.copy()
-                state.gbest_fitness = p.pbest_fitness
-                state.gbest_accuracy = p.pbest_accuracy
-
-        def commit_pbest(p: Particle, pos, acc, fit):
-            # strictly-greater updates: ties keep the incumbent
-            if fit > p.pbest_fitness:
-                p.pbest_position = pos.copy()
-                p.pbest_fitness = fit
-                p.pbest_accuracy = acc
-
-        def commit_gbest(p: Particle):
-            if p.pbest_fitness > state.gbest_fitness:
-                state.gbest_position = p.pbest_position.copy()
-                state.gbest_fitness = p.pbest_fitness
-                state.gbest_accuracy = p.pbest_accuracy
+        for i, evaluation in enumerate(evaluate_many(position)):
+            state.commit(i, evaluation)
 
         trace: list[IterationRecord] = []
         for t in range(config.iterations):
             started = time.perf_counter()
             w = inertia_at(t, config)
+            u = rng.random((population, n, draws))
             if synchronous:
-                # global best frozen for the whole iteration; random draws and
-                # state commits stay serialized in particle-index order so the
-                # outcome is independent of the worker count
-                frozen = state.gbest_position.copy()
-                moves = [move(p, frozen, w, rng) for p in particles]
-                evals = evaluate_many([pos for _, pos in moves])
-                for p, (vel, pos), (acc, fit) in zip(particles, moves, evals):
-                    p.velocity = vel
-                    p.position = pos
-                    commit_pbest(p, pos, acc, fit)
-                for p in particles:
-                    commit_gbest(p)
+                # global best frozen for the whole iteration; evaluations come
+                # back in row order, so the outcome is independent of the
+                # worker count
+                state.velocity, state.position = move(
+                    state.position, state.velocity, state.pbest_position,
+                    state.gbest_position, w, u,
+                )
+                for i, evaluation in enumerate(evaluate_many(state.position)):
+                    state.commit(i, evaluation)
             else:
                 # literal loop order: a discovery by particle i moves the
                 # global best seen by particle i+1 within the same iteration
-                for p in particles:
-                    vel, pos = move(p, state.gbest_position, w, rng)
-                    acc, fit = evaluate_particle(pos, split, config)
-                    p.velocity = vel
-                    p.position = pos
-                    commit_pbest(p, pos, acc, fit)
-                    commit_gbest(p)
+                for i in range(population):
+                    state.velocity[i], state.position[i] = move(
+                        state.position[i], state.velocity[i],
+                        state.pbest_position[i], state.gbest_position, w, u[i],
+                    )
+                    state.commit(i, evaluate_particle(state.position[i], split, config))
             state.iteration = t + 1
             state.inertia = w
             record = IterationRecord(
@@ -409,7 +420,7 @@ def run_xor_pso(
     config: PsoConfig,
     initial_masks,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     workers: int = 1,
     on_record=None,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
@@ -419,15 +430,11 @@ def run_xor_pso(
     iteration 0, and personal/global bests only move on strictly greater
     fitness.  ``on_record(record, state)``, when given, fires after every
     iteration.  ``workers`` parallelizes fitness evaluations in synchronous
-    mode only; results do not depend on it.
+    mode only (more than one worker in asynchronous mode is an error);
+    results do not depend on it.
     """
-
-    def move(p: Particle, gbest, w, gen):
-        vel = xor_velocity_update(p, gbest, w, gen)
-        return vel, position_update(p.position, vel)
-
     return _run_swarm(
-        split, config, initial_masks, move, np.int8, rng, workers, on_record
+        split, config, initial_masks, _xor_move, np.int8, 2, rng, workers, on_record
     )
 
 
@@ -436,36 +443,24 @@ def run_baseline_bpso(
     config: BaselineConfig,
     initial_masks,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     workers: int = 1,
     on_record=None,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
-    """Run the sigmoid-transfer binary PSO baseline.
+    """Run the sigmoid-transfer binary PSO baseline (see :func:`baseline_move`).
 
-    Per bit: ``V' = w*V + c1*R1*(Pbest - X) + c2*R2*(Gbest - X)`` with
-    R1, R2 ~ Uniform(0, 1), clamped to ``[-v_clamp, v_clamp]``; the new
-    position bit is 1 with probability ``sigmoid(V')``.  Draw order: one
-    ``rng.random((n, 3))`` block per particle per iteration — columns R1,
-    R2, and the position-sampling uniform.  Best-keeping and tracing match
-    the XOR optimizer.
+    Draw order: one ``rng.random((P, n, 3))`` block per iteration; row i
+    holds particle i's columns R1, R2 and the position-sampling uniform.
+    Best-keeping, ``workers`` and tracing match the XOR optimizer.
     """
     if not isinstance(config, BaselineConfig):
         raise TypeError("run_baseline_bpso requires a BaselineConfig")
 
-    def move(p: Particle, gbest, w, gen):
-        x = p.position
-        u = gen.random((x.shape[0], 3))
-        vel = (
-            w * p.velocity
-            + config.c1 * u[:, 0] * (p.pbest_position - x)
-            + config.c2 * u[:, 1] * (gbest - x)
-        )
-        np.clip(vel, -config.v_clamp, config.v_clamp, out=vel)
-        pos = (u[:, 2] < sigmoid(vel)).astype(np.int8)
-        return vel, pos
+    def move(x, v, pbest, gbest, w, u):
+        return baseline_move(x, v, pbest, gbest, w, u, config)
 
     return _run_swarm(
-        split, config, initial_masks, move, np.float64, rng, workers, on_record
+        split, config, initial_masks, move, np.float64, 3, rng, workers, on_record
     )
 
 

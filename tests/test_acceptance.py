@@ -40,7 +40,6 @@ from xorpso import (
     xor_velocity_update,
 )
 from xorpso.cli import main as cli_main
-from xorpso.swarm import Particle
 
 
 def _report(number: int, ok: bool, detail: str = "") -> None:
@@ -121,22 +120,14 @@ def test_criterion_03_truth_tables():
             ok = ok and moved[0] == (a ^ b)
             # disparity term: with w=0, R1=+1, R2=0 the velocity bit reduces
             # to XOR(pbest, position), exercised through the real update
-            particle = Particle(
-                position=np.array([a], dtype=np.int8),
-                velocity=np.array([0], dtype=np.int8),
-                pbest_position=np.array([b], dtype=np.int8),
-                pbest_fitness=0.0,
-                pbest_accuracy=0.0,
-            )
-
-            class _One:
-                def random(self, shape):
-                    u = np.zeros(shape)
-                    u[:, 0] = 1.0  # R1 = 2u-1 = +1
-                    return u
-
+            u = np.array([[1.0, 0.0]])  # R1 = 2u-1 = +1
             vel = xor_velocity_update(
-                particle, np.array([a], dtype=np.int8), w=0.0, rng=_One()
+                np.array([a], dtype=np.int8),
+                np.array([0], dtype=np.int8),
+                np.array([b], dtype=np.int8),
+                np.array([a], dtype=np.int8),
+                w=0.0,
+                u=u,
             )
             ok = ok and vel[0] == (a ^ b)
     _report(3, ok, "all 4 rows of both tables")
@@ -243,11 +234,10 @@ def test_criterion_08_monotone_and_binary_over_random_runs():
 
         def check(record, state):
             nonlocal binary_ok
-            for p in state.particles:
-                if not set(np.unique(p.position)) <= {0, 1}:
-                    binary_ok = False
-                if not use_baseline and not set(np.unique(p.velocity)) <= {0, 1}:
-                    binary_ok = False
+            if not set(np.unique(state.position)) <= {0, 1}:
+                binary_ok = False
+            if not use_baseline and not set(np.unique(state.velocity)) <= {0, 1}:
+                binary_ok = False
 
         runner = run_baseline_bpso if use_baseline else run_xor_pso
         _, trace = runner(

@@ -57,7 +57,10 @@ def test_baseline_requires_its_own_config(tiny_split):
     masks = [np.array([1, 0], dtype=np.int8)]
     with pytest.raises(TypeError):
         run_baseline_bpso(
-            tiny_split, PsoConfig(population=1, iterations=1, knn=KnnConfig(k=1)), masks
+            tiny_split,
+            PsoConfig(population=1, iterations=1, knn=KnnConfig(k=1)),
+            masks,
+            rng=np.random.default_rng(0),
         )
 
 
@@ -66,14 +69,14 @@ def test_baseline_requires_its_own_config(tiny_split):
 def test_position_resampled_through_sigmoid(fixed_rng_cls, tiny_split):
     # a lone particle has zero disparities, so velocity stays 0 and each bit
     # is redrawn with probability sigmoid(0) = 0.5 against column 2 of the
-    # particle's (n, 3) uniform block
+    # iteration's (P, n, 3) uniform block
     config = BaselineConfig(population=1, iterations=1, knn=KnnConfig(k=1))
-    rng = fixed_rng_cls([[[0.9, 0.9, 0.3], [0.9, 0.9, 0.7]]])
+    rng = fixed_rng_cls([[[[0.9, 0.9, 0.3], [0.9, 0.9, 0.7]]]])
     captured = {}
 
     def grab(record, state):
-        captured["position"] = state.particles[0].position.copy()
-        captured["velocity"] = state.particles[0].velocity.copy()
+        captured["position"] = state.position[0].copy()
+        captured["velocity"] = state.velocity[0].copy()
 
     run_baseline_bpso(
         tiny_split,
@@ -94,15 +97,17 @@ def test_velocity_clamped_exactly(fixed_rng_cls, duplicate_column_split):
     )
     rng = fixed_rng_cls(
         [
-            [[0.5, 0.5, 0.99], [0.5, 0.5, 0.99]],  # particle A: stays put at 0 vel
-            [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]],  # particle B: raw vel [10, -10]
+            [  # one (P, n, 3) block for the iteration
+                [[0.5, 0.5, 0.99], [0.5, 0.5, 0.99]],  # A: stays put at 0 vel
+                [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]],  # B: raw vel [10, -10]
+            ]
         ]
     )
     captured = {}
 
     def grab(record, state):
-        captured["velocity"] = state.particles[1].velocity.copy()
-        captured["position"] = state.particles[1].position.copy()
+        captured["velocity"] = state.velocity[1].copy()
+        captured["position"] = state.position[1].copy()
 
     masks = [np.array([1, 0], dtype=np.int8), np.array([0, 1], dtype=np.int8)]
     run_baseline_bpso(duplicate_column_split, config, masks, rng=rng, on_record=grab)
@@ -128,10 +133,9 @@ def test_baseline_invariants(synth_split, mode):
     masks = _random_masks(np.random.default_rng(4), 8, 6)
 
     def check(record, state):
-        for particle in state.particles:
-            assert set(np.unique(particle.position)) <= {0, 1}
-            assert particle.velocity.dtype == np.float64
-            assert np.all(np.abs(particle.velocity) <= config.v_clamp)
+        assert set(np.unique(state.position)) <= {0, 1}
+        assert state.velocity.dtype == np.float64
+        assert np.all(np.abs(state.velocity) <= config.v_clamp)
         acc, fit = evaluate_particle(state.gbest_position, split, config)
         assert fit == record.gbest_fitness
         assert acc == record.gbest_accuracy

@@ -98,6 +98,50 @@ def test_run_config_rejects_bad_optimizer_and_workers():
         RunConfig(workers=0)
 
 
+def test_run_config_checks_value_types():
+    with pytest.raises(CliError, match="population.*int.*'30'"):
+        RunConfig.from_dict({"population": "30"})
+    with pytest.raises(CliError, match="workers"):
+        RunConfig.from_dict({"workers": True})
+    with pytest.raises(CliError, match="threshold"):
+        RunConfig.from_dict({"threshold": "high"})
+    with pytest.raises(CliError, match="label_column"):
+        RunConfig.from_dict({"label_column": None})
+    # an int is a valid float, and null is valid where the field allows it
+    assert RunConfig.from_dict({"threshold": 1}).threshold == 1
+    assert RunConfig.from_dict({"top_m": None, "data": None}).top_m is None
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+def test_wrong_type_in_config_file_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"population": "30"}))
+    code = main(
+        ["select", "--synth", SMALL, "--config", str(cfg), "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "population" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag,value", [("--bins", "1"), ("--seeded-fraction", "1.5")])
+def test_bad_seeding_setting_is_one_error_line(tmp_path, capsys, flag, value):
+    assert _select(tmp_path, flag, value) == 1
+    assert f"got {value}" in _one_error_line(capsys)
+
+
+def test_workers_in_asynchronous_mode_is_one_error_line(tmp_path, capsys):
+    assert _select(tmp_path, "--workers", "4") == 1
+    err = _one_error_line(capsys)
+    assert "workers=4" in err
+    assert "update_mode" in err
+
+
 # --- seed precedence ------------------------------------------------------
 
 def _resolve(argv):

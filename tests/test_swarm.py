@@ -10,9 +10,7 @@ from xorpso import (
     FeatureDataset,
     IterationRecord,
     KnnConfig,
-    Particle,
     PsoConfig,
-    SeedingConfig,
     SplitDataset,
     TraceWriter,
     brute_force_best,
@@ -31,15 +29,8 @@ from xorpso import (
 from xorpso.swarm import TRACE_FIELDS
 
 
-def _particle(position, velocity, pbest):
-    pos = np.array(position, dtype=np.int8)
-    return Particle(
-        position=pos,
-        velocity=np.array(velocity, dtype=np.int8),
-        pbest_position=np.array(pbest, dtype=np.int8),
-        pbest_fitness=0.0,
-        pbest_accuracy=0.0,
-    )
+def _bits(*values):
+    return np.array(values, dtype=np.int8)
 
 
 # --- fitness --------------------------------------------------------------
@@ -115,63 +106,59 @@ def test_inertia_rejects_negative_iteration():
 
 # --- velocity update, hand-computed ---------------------------------------
 
-def test_velocity_update_by_hand(fixed_rng_cls):
-    # u -> R1 = 2u-1 in [-1,1), R2 = u in [0,1); one (n, 2) block per call
-    rng = fixed_rng_cls([[[0.65, 0.4], [0.1, 0.9], [0.75, 0.5]]])
-    p = _particle(position=[0, 1, 0], velocity=[1, 0, 1], pbest=[0, 0, 1])
-    gbest = np.array([1, 1, 0], dtype=np.int8)
+def test_velocity_update_by_hand():
+    # u -> R1 = 2u-1 in [-1,1), R2 = u in [0,1); one (n, 2) block per particle
+    u = np.array([[0.65, 0.4], [0.1, 0.9], [0.75, 0.5]])
+    x, v, pbest = _bits(0, 1, 0), _bits(1, 0, 1), _bits(0, 0, 1)
+    gbest = _bits(1, 1, 0)
     # disparities: pbest^x = [0,1,1], gbest^x = [1,0,0]
     # raw = 0.9*[1,0,1] + [0.3,-0.8,0.5]*[0,1,1] + [0.4,0.9,0.5]*[1,0,0]
     #     = [1.3, -0.8, 1.4]
-    vel = xor_velocity_update(p, gbest, w=0.9, rng=rng)
+    vel = xor_velocity_update(x, v, pbest, gbest, w=0.9, u=u)
     assert list(vel) == [1, 0, 1]
-    assert list(position_update(p.position, vel)) == [1, 1, 1]
+    assert list(position_update(x, vel)) == [1, 1, 1]
 
 
-def test_velocity_update_with_pinned_r1_r2(fixed_rng_cls):
+def test_velocity_update_with_pinned_r1_r2():
     # X=0, Pbest=1, Gbest=1, V=0, w=0.5 with R1=0.3 (u=0.65) and R2=0.4:
     # raw = 0.5*0 + 0.3*1 + 0.4*1 = 0.7 >= 0.5, so the bit flips on
-    rng = fixed_rng_cls([[[0.65, 0.4]]])
-    p = _particle(position=[0], velocity=[0], pbest=[1])
-    vel = xor_velocity_update(p, np.array([1], dtype=np.int8), w=0.5, rng=rng)
+    vel = xor_velocity_update(
+        _bits(0), _bits(0), _bits(1), _bits(1), w=0.5, u=np.array([[0.65, 0.4]])
+    )
     assert list(vel) == [1]
 
 
-def test_velocity_threshold_is_inclusive(fixed_rng_cls):
+def test_velocity_threshold_is_inclusive():
     # zero disparities leave raw = w * v = 0.5 exactly, which flips the bit
-    rng = fixed_rng_cls([[[0.0, 0.0]]])
-    p = _particle(position=[0], velocity=[1], pbest=[0])
-    vel = xor_velocity_update(p, np.array([0], dtype=np.int8), w=0.5, rng=rng)
+    vel = xor_velocity_update(
+        _bits(0), _bits(1), _bits(0), _bits(0), w=0.5, u=np.array([[0.0, 0.0]])
+    )
     assert list(vel) == [1]
 
 
-def test_velocity_r1_spans_negative_range(fixed_rng_cls):
+def test_velocity_r1_spans_negative_range():
     # u=0 maps to R1=-1: a pbest disparity alone can only push raw to -1
-    p = _particle(position=[0], velocity=[0], pbest=[1])
-    gbest = np.array([0], dtype=np.int8)
-    vel = xor_velocity_update(p, gbest, w=1.0, rng=fixed_rng_cls([[[0.0, 0.7]]]))
+    x, v, pbest, gbest = _bits(0), _bits(0), _bits(1), _bits(0)
+    vel = xor_velocity_update(x, v, pbest, gbest, w=1.0, u=np.array([[0.0, 0.7]]))
     assert list(vel) == [0]
     # u=1 maps to R1=+1 and the same disparity sets the bit
-    p = _particle(position=[0], velocity=[0], pbest=[1])
-    vel = xor_velocity_update(p, gbest, w=1.0, rng=fixed_rng_cls([[[1.0, 0.7]]]))
+    vel = xor_velocity_update(x, v, pbest, gbest, w=1.0, u=np.array([[1.0, 0.7]]))
     assert list(vel) == [1]
 
 
-def test_velocity_r2_is_non_negative_weight(fixed_rng_cls):
+def test_velocity_r2_is_non_negative_weight():
     # gbest disparity weighted by R2 = u in [0,1)
-    p = _particle(position=[0], velocity=[0], pbest=[0])
-    gbest = np.array([1], dtype=np.int8)
-    below = xor_velocity_update(p, gbest, w=1.0, rng=fixed_rng_cls([[[0.5, 0.4]]]))
+    x, v, pbest, gbest = _bits(0), _bits(0), _bits(0), _bits(1)
+    below = xor_velocity_update(x, v, pbest, gbest, w=1.0, u=np.array([[0.5, 0.4]]))
     assert list(below) == [0]
-    p = _particle(position=[0], velocity=[0], pbest=[0])
-    above = xor_velocity_update(p, gbest, w=1.0, rng=fixed_rng_cls([[[0.5, 0.6]]]))
+    above = xor_velocity_update(x, v, pbest, gbest, w=1.0, u=np.array([[0.5, 0.6]]))
     assert list(above) == [1]
 
 
-def test_velocity_update_rejects_length_mismatch(fixed_rng_cls):
-    p = _particle(position=[0, 1], velocity=[0, 0], pbest=[0, 1])
+def test_velocity_update_rejects_length_mismatch():
+    x = _bits(0, 1)
     with pytest.raises(ValueError):
-        xor_velocity_update(p, np.array([1], dtype=np.int8), 1.0, fixed_rng_cls([]))
+        xor_velocity_update(x, _bits(0, 0), x, _bits(1), 1.0, np.zeros((2, 2)))
 
 
 # --- config validation ----------------------------------------------------
@@ -191,27 +178,49 @@ def test_pso_config_validation():
         PsoConfig(accuracy_threshold=0.0)
     with pytest.raises(ValueError):
         PsoConfig(update_mode="eventual")
-    with pytest.raises(ValueError):
-        SeedingConfig(seeded_fraction=-0.1)
-    with pytest.raises(ValueError):
-        SeedingConfig(bins=1)
 
 
 def test_initial_mask_validation(tiny_split):
     config = PsoConfig(population=2, iterations=1, knn=KnnConfig(k=1))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="initial masks"):
-        run_xor_pso(tiny_split, config, [np.array([1, 0], dtype=np.int8)])
+        run_xor_pso(tiny_split, config, [np.array([1, 0], dtype=np.int8)], rng=rng)
     with pytest.raises(ValueError, match="shape"):
         run_xor_pso(
             tiny_split,
             config,
             [np.array([1, 0, 1], dtype=np.int8), np.array([1, 0], dtype=np.int8)],
+            rng=rng,
         )
     with pytest.raises(ValueError, match="bits"):
         run_xor_pso(
             tiny_split,
             config,
             [np.array([2, 0], dtype=np.int8), np.array([1, 0], dtype=np.int8)],
+            rng=rng,
+        )
+
+
+def test_generator_is_required(tiny_split):
+    config = PsoConfig(population=1, iterations=1, knn=KnnConfig(k=1))
+    with pytest.raises(TypeError, match="rng"):
+        run_xor_pso(tiny_split, config, [np.array([1, 0], dtype=np.int8)])
+
+
+def test_workers_in_asynchronous_mode_is_rejected_before_evaluation(
+    tiny_split, monkeypatch
+):
+    import xorpso.swarm
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before rejecting the settings")
+
+    monkeypatch.setattr(xorpso.swarm, "evaluate_particle", no_evaluation)
+    config = PsoConfig(population=1, iterations=1, knn=KnnConfig(k=1))
+    with pytest.raises(ValueError, match="workers=2.*update_mode"):
+        run_xor_pso(
+            tiny_split, config, [np.array([1, 0], dtype=np.int8)],
+            rng=np.random.default_rng(0), workers=2,
         )
 
 
@@ -242,9 +251,15 @@ def test_run_invariants_and_trace_consistency(synth_split, mode):
         acc, fit = evaluate_particle(state.gbest_position, split, config)
         assert fit == record.gbest_fitness
         assert acc == record.gbest_accuracy
-        for particle in state.particles:
-            assert set(np.unique(particle.position)) <= {0, 1}
-            assert set(np.unique(particle.velocity)) <= {0, 1}
+        assert state.position.shape == state.velocity.shape == (8, 6)
+        assert state.pbest_position.shape == (8, 6)
+        assert state.pbest_fitness.shape == state.pbest_accuracy.shape == (8,)
+        assert set(np.unique(state.position)) <= {0, 1}
+        assert set(np.unique(state.velocity)) <= {0, 1}
+        # the global best is one of the best personal bests
+        tops = state.pbest_fitness == state.pbest_fitness.max()
+        assert state.gbest_fitness == state.pbest_fitness.max()
+        assert (state.pbest_position[tops] == state.gbest_position).all(axis=1).any()
 
     best, trace = run_xor_pso(
         split, config, masks, rng=np.random.default_rng(5), on_record=check

@@ -6,16 +6,13 @@ its raw validation accuracy (< 1), while a particle at or above it scores
 into the sparsity phase and then shrink the subset.
 """
 
-import numpy as np
-
 from xorpso import (
     PsoConfig,
     SynthSpec,
     evaluate_particle,
     generate_synthetic,
-    run_xor_pso,
+    run_seeded,
     score_features,
-    seed_masks,
     selected_indices,
     standardize_split,
     stratified_split,
@@ -29,13 +26,7 @@ def main():
     )
     split = standardize_split(stratified_split(ds, 0.2, seed=0))
     config = PsoConfig(population=24, iterations=40, accuracy_threshold=0.95)
-
-    seed_seq = np.random.SeedSequence(5).spawn(2)
-    seeding_rng, swarm_rng = (
-        np.random.Generator(np.random.PCG64(c)) for c in seed_seq
-    )
     scores = score_features(split.train, bin_count=10)
-    masks = seed_masks(scores, config.population, rng=seeding_rng)
 
     print(f"{'iter':>4} {'fitness':>9} {'accuracy':>9} {'selected':>9} {'inertia':>8}")
     last = None
@@ -52,7 +43,7 @@ def main():
             )
         last = key
 
-    best, trace = run_xor_pso(split, config, masks, rng=swarm_rng, on_record=show)
+    best, trace = run_seeded(split, scores, config, 5, on_record=show)
 
     chosen = selected_indices(best)
     planted = list(ds.provenance.informative_indices)

@@ -7,17 +7,13 @@ XOR variant usually compresses harder once past the accuracy threshold.
 
 import statistics
 
-import numpy as np
-
 from xorpso import (
     BaselineConfig,
     PsoConfig,
     SynthSpec,
     generate_synthetic,
-    run_baseline_bpso,
-    run_xor_pso,
+    run_seeded,
     score_features,
-    seed_masks,
     standardize_split,
     stratified_split,
 )
@@ -31,18 +27,15 @@ def main():
     split = standardize_split(stratified_split(ds, 0.2, seed=2))
     shared = dict(population=24, iterations=40, accuracy_threshold=0.95)
     configs = {"xor": PsoConfig(**shared), "baseline": BaselineConfig(**shared)}
-    runners = {"xor": run_xor_pso, "baseline": run_baseline_bpso}
     scores = score_features(split.train, bin_count=10)
 
     finals = {name: [] for name in configs}
     print(f"{'seed':>4}  {'xor fit':>9} {'sel':>4}   {'base fit':>9} {'sel':>4}")
     for seed in range(5):
-        children = np.random.SeedSequence(seed).spawn(3)
-        rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
-        masks = seed_masks(scores, shared["population"], rng=rngs[0])
         row = {}
-        for name, rng in zip(("xor", "baseline"), rngs[1:]):
-            _, trace = runners[name](split, configs[name], masks, rng=rng)
+        for name, config in configs.items():
+            # the same seed gives both optimizers the same starting masks
+            _, trace = run_seeded(split, scores, config, seed)
             finals[name].append(trace[-1])
             row[name] = trace[-1]
         print(

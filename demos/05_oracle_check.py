@@ -5,16 +5,13 @@ the true optimum.  The swarm should land on (or within a hair of) it from
 most seeds while evaluating only a fraction of the subsets.
 """
 
-import numpy as np
-
 from xorpso import (
     PsoConfig,
     SynthSpec,
     brute_force_best,
     generate_synthetic,
-    run_xor_pso,
+    run_seeded,
     score_features,
-    seed_masks,
     selected_indices,
     standardize_split,
     stratified_split,
@@ -39,12 +36,7 @@ def main():
     scores = score_features(split.train, bin_count=10)
     matched = 0
     for seed in range(10):
-        children = np.random.SeedSequence(seed).spawn(2)
-        seeding_rng, swarm_rng = (
-            np.random.Generator(np.random.PCG64(c)) for c in children
-        )
-        masks = seed_masks(scores, config.population, rng=seeding_rng)
-        best, trace = run_xor_pso(split, config, masks, rng=swarm_rng)
+        best, trace = run_seeded(split, scores, config, seed)
         gap = oracle_fitness - trace[-1].gbest_fitness
         hit = gap <= 0.02
         matched += hit

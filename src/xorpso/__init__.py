@@ -45,6 +45,7 @@ from .swarm import (
     position_update,
     read_trace,
     run_baseline_bpso,
+    run_seeded,
     run_xor_pso,
     selected_count,
     selected_indices,
@@ -85,6 +86,7 @@ __all__ = [
     "provenance_path",
     "read_trace",
     "run_baseline_bpso",
+    "run_seeded",
     "run_xor_pso",
     "save_dataset",
     "score_features",

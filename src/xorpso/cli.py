@@ -36,12 +36,11 @@ import typing
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from .classify import EmptyMaskError, KnnConfig
 from .data import (
     DatasetError,
     FeatureDataset,
+    SplitDataset,
     SynthSpec,
     generate_synthetic,
     load_dataset,
@@ -50,7 +49,7 @@ from .data import (
     standardize_split,
     stratified_split,
 )
-from .rank import score_features, seed_masks
+from .rank import MiScores, score_features
 from .swarm import (
     ASYNCHRONOUS,
     SYNCHRONOUS,
@@ -59,8 +58,7 @@ from .swarm import (
     TraceWriter,
     brute_force_best,
     evaluate_particle,
-    run_baseline_bpso,
-    run_xor_pso,
+    run_seeded,
     selected_indices,
 )
 
@@ -116,6 +114,11 @@ class RunConfig:
             )
         if self.workers < 1:
             raise CliError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > 1 and self.optimizer == "oracle":
+            raise CliError(
+                f"workers={self.workers} has no effect with optimizer='oracle', "
+                "which scores one mask at a time"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,13 +133,9 @@ class RunConfig:
             _check_type(key, value, annotations[key])
         return cls(**values)
 
-    def pso_config(self) -> PsoConfig:
-        return self._swarm_config(PsoConfig)
-
-    def baseline_config(self) -> BaselineConfig:
-        return self._swarm_config(BaselineConfig)
-
-    def _swarm_config(self, cls):
+    def swarm_config(self, optimizer: str) -> PsoConfig:
+        """A :class:`BaselineConfig` for ``"baseline"``, else a :class:`PsoConfig`."""
+        cls = BaselineConfig if optimizer == "baseline" else PsoConfig
         # swarm-config fields with a RunConfig namesake are copied by name
         shared = {
             f.name: getattr(self, f.name) for f in fields(cls) if hasattr(self, f.name)
@@ -242,9 +241,13 @@ def _load_or_generate(config: RunConfig) -> FeatureDataset:
     return generate_synthetic(parse_synth(config.synth))
 
 
-def _prepared_split(config: RunConfig, dataset: FeatureDataset):
-    split = stratified_split(dataset, config.val_fraction, config.seed)
-    return standardize_split(split)
+def _prepare(config: RunConfig) -> tuple[Path, SplitDataset, MiScores]:
+    """Make the output directory, then load, split and MI-score the data."""
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dataset = _load_or_generate(config)
+    split = standardize_split(stratified_split(dataset, config.val_fraction, config.seed))
+    return out_dir, split, score_features(split.train, bin_count=config.bins)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -283,57 +286,33 @@ def _write_selected_csv(path: Path, mask, scores) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _seeded_streams(seed: int, count: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(child)) for child in children]
-
-
-def _run_one(optimizer: str, split, run_config, masks, rng, workers, on_record):
-    runner = run_xor_pso if optimizer == "xor" else run_baseline_bpso
-    return runner(
-        split, run_config, masks, rng=rng, workers=workers, on_record=on_record
-    )
+def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path):
+    """One :func:`run_seeded` run, streaming its trace to ``trace_path``."""
+    with TraceWriter(trace_path) as writer:
+        return run_seeded(
+            split, scores, swarm_config, seed,
+            seeded_fraction=config.seeded_fraction, top_m=config.top_m,
+            workers=config.workers,
+            on_record=lambda record, state: writer.write(record),
+        )
 
 
 def cmd_select(config: RunConfig) -> int:
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _load_or_generate(config)
-    split = _prepared_split(config, dataset)
-    scores = score_features(split.train, bin_count=config.bins)
+    out_dir, split, scores = _prepare(config)
     trace_path = out_dir / "trace.jsonl"
+    swarm_config = config.swarm_config(config.optimizer)
 
     if config.optimizer == "oracle":
         started = time.perf_counter()
-        mask, best_fitness = brute_force_best(split, config.pso_config())
+        mask, best_fitness = brute_force_best(split, swarm_config)
         wall_ms = (time.perf_counter() - started) * 1000.0
-        accuracy, _ = evaluate_particle(mask, split, config.pso_config())
+        accuracy, _ = evaluate_particle(mask, split, swarm_config)
         trace_path.write_text("", encoding="utf-8")  # no iterations to trace
         iterations_run = 0
     else:
-        seeding_rng, swarm_rng = _seeded_streams(config.seed, 2)
-        masks = seed_masks(
-            scores,
-            config.population,
-            seeded_fraction=config.seeded_fraction,
-            top_m=config.top_m,
-            rng=seeding_rng,
+        mask, trace = _traced_run(
+            config, split, scores, swarm_config, config.seed, trace_path
         )
-        run_config = (
-            config.pso_config()
-            if config.optimizer == "xor"
-            else config.baseline_config()
-        )
-        with TraceWriter(trace_path) as writer:
-            mask, trace = _run_one(
-                config.optimizer,
-                split,
-                run_config,
-                masks,
-                swarm_rng,
-                config.workers,
-                lambda record, state: writer.write(record),
-            )
         final = trace[-1]
         best_fitness, accuracy = final.gbest_fitness, final.gbest_accuracy
         wall_ms = sum(record.elapsed_ms for record in trace)
@@ -355,42 +334,22 @@ def cmd_select(config: RunConfig) -> int:
 def cmd_compare(config: RunConfig, seeds: list[int]) -> int:
     if not seeds:
         raise CliError("compare needs at least one seed")
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _load_or_generate(config)
     # one split for every run: differences in the summary come from the
     # optimizers and their seeds, never from resampled data
-    split = _prepared_split(config, dataset)
-    scores = score_features(split.train, bin_count=config.bins)
+    out_dir, split, scores = _prepare(config)
 
     finals = {"xor": [], "baseline": []}
-    run_configs = {"xor": config.pso_config(), "baseline": config.baseline_config()}
+    swarm_configs = {name: config.swarm_config(name) for name in finals}
     for seed in seeds:
-        seeding_rng, xor_rng, baseline_rng = _seeded_streams(seed, 3)
-        masks = seed_masks(
-            scores,
-            config.population,
-            seeded_fraction=config.seeded_fraction,
-            top_m=config.top_m,
-            rng=seeding_rng,
-        )
-        for optimizer, rng in (("xor", xor_rng), ("baseline", baseline_rng)):
-            trace_path = out_dir / f"trace_{optimizer}_{seed}.jsonl"
-            with TraceWriter(trace_path) as writer:
-                _, trace = _run_one(
-                    optimizer,
-                    split,
-                    run_configs[optimizer],
-                    masks,
-                    rng,
-                    config.workers,
-                    lambda record, state: writer.write(record),
-                )
+        for optimizer, swarm_config in swarm_configs.items():
+            _, trace = _traced_run(
+                config, split, scores, swarm_config, seed,
+                out_dir / f"trace_{optimizer}_{seed}.jsonl",
+            )
             finals[optimizer].append(trace)
 
     lines = ["optimizer,runs,median_fitness,median_accuracy,median_selected,mean_wall_ms"]
-    for optimizer in ("xor", "baseline"):
-        traces = finals[optimizer]
+    for optimizer, traces in finals.items():
         last = [trace[-1] for trace in traces]
         median_fitness = statistics.median(r.gbest_fitness for r in last)
         median_accuracy = statistics.median(r.gbest_accuracy for r in last)

@@ -103,7 +103,8 @@ def seed_masks(
     population: int,
     seeded_fraction: float = 0.2,
     top_m: int | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Build the initial particle positions, part MI-seeded, part uniform.
 
@@ -118,8 +119,8 @@ def seed_masks(
     top_m : int, optional
         Defaults to a quarter of the feature count (at least 1).
     rng : numpy Generator
-        Draw source; one length-n uniform block is consumed per mask, in
-        emission order.
+        Draw source, required; one length-n uniform block is consumed per
+        mask, in emission order.
     """
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
@@ -130,8 +131,6 @@ def seed_masks(
         top_m = max(1, n // 4)
     if not 1 <= top_m <= n:
         raise ValueError(f"top_m must be in [1, {n}], got {top_m}")
-    if rng is None:
-        rng = np.random.default_rng()
 
     top = scores.ranking()[:top_m]
     best_bit = int(np.argmax(scores.scores))

@@ -25,7 +25,8 @@ iteration, c = 2 for the XOR optimizer and 3 for the baseline; row i is
 particle i's block, laid out bit-major.  Evaluation draws nothing.  Given
 (generator state, config, dataset), every trace field except
 ``elapsed_ms`` is reproducible bit-for-bit, and in synchronous mode the
-result is independent of the evaluation worker count.
+result is independent of the evaluation worker count.  :func:`run_seeded`
+is the one place that turns a seed number into those generators.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 from .classify import KnnConfig, knn_accuracy
 from .data import SplitDataset
+from .rank import MiScores, seed_masks
 
 ASYNCHRONOUS = "asynchronous"
 SYNCHRONOUS = "synchronous"
@@ -464,6 +466,38 @@ def run_baseline_bpso(
     )
 
 
+def run_seeded(
+    split: SplitDataset,
+    scores: MiScores,
+    config: PsoConfig,
+    seed: int,
+    *,
+    seeded_fraction: float = 0.2,
+    top_m: int | None = None,
+    workers: int = 1,
+    on_record=None,
+) -> tuple[np.ndarray, list[IterationRecord]]:
+    """Seed the initial masks and run one optimizer, all from one seed number.
+
+    ``SeedSequence(seed).spawn(3)`` gives the seeding, XOR and baseline
+    streams, in that order.  :func:`~xorpso.rank.seed_masks` draws the masks
+    from the seeding stream, so both optimizers start from the same masks;
+    a :class:`BaselineConfig` runs :func:`run_baseline_bpso` on the baseline
+    stream, any other config runs :func:`run_xor_pso` on the XOR stream.
+    ``scores`` come from the caller, so one MI scoring serves every run.
+    """
+    seeding, xor_rng, baseline_rng = (
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(seed).spawn(3)
+    )
+    masks = seed_masks(scores, config.population, seeded_fraction, top_m, rng=seeding)
+    if isinstance(config, BaselineConfig):
+        runner, rng = run_baseline_bpso, baseline_rng
+    else:
+        runner, rng = run_xor_pso, xor_rng
+    return runner(split, config, masks, rng=rng, workers=workers, on_record=on_record)
+
+
 def brute_force_best(
     split: SplitDataset, config: PsoConfig
 ) -> tuple[np.ndarray, float]:
@@ -542,7 +576,9 @@ class TraceWriter:
     """Streams trace records to disk, flushing after every line.
 
     Long runs stay observable in progress; a crash leaves at most one
-    truncated final line, which :func:`read_trace` rejects.
+    truncated final line, which :func:`read_trace` rejects.  The file is
+    opened by the first record, so a run rejected before its first
+    iteration leaves no trace file.
     """
 
     def __init__(self, path):
@@ -550,14 +586,16 @@ class TraceWriter:
         self._fh = None
 
     def __enter__(self):
-        self._fh = self.path.open("w", encoding="utf-8")
         return self
 
     def write(self, record: IterationRecord) -> None:
+        if self._fh is None:
+            self._fh = self.path.open("w", encoding="utf-8")
         self._fh.write(record_to_json(record) + "\n")
         self._fh.flush()
 
     def __exit__(self, *exc):
-        self._fh.close()
-        self._fh = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
         return False

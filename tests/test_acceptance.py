@@ -32,9 +32,9 @@ from xorpso import (
     mutual_information,
     position_update,
     read_trace,
+    run_seeded,
     run_xor_pso,
     score_features,
-    seed_masks,
     standardize_split,
     stratified_split,
     xor_velocity_update,
@@ -53,18 +53,6 @@ def _report(number: int, ok: bool, detail: str = "") -> None:
 def _prepared_split(spec: SynthSpec, split_seed: int) -> SplitDataset:
     dataset = generate_synthetic(spec)
     return standardize_split(stratified_split(dataset, 0.2, split_seed))
-
-
-def _spawned(seed: int, count: int):
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
-
-
-def _run_seeded(split, config, seed, on_record=None):
-    seeding_rng, swarm_rng = _spawned(seed, 2)
-    scores = score_features(split.train, bin_count=10)
-    masks = seed_masks(scores, config.population, rng=seeding_rng)
-    return run_xor_pso(split, config, masks, rng=swarm_rng, on_record=on_record)
 
 
 # Frozen benchmark instances.  The small one admits exhaustive search; the
@@ -164,6 +152,7 @@ def test_criterion_06_oracle_equivalence():
     split = _prepared_split(SMALL_SPEC, SMALL_SPLIT_SEED)
     config = PsoConfig(population=20, iterations=30)
     _, oracle_fitness = brute_force_best(split, config)
+    scores = score_features(split.train, bin_count=10)
     hits = 0
     worst_gap = 0.0
     for seed in RUN_SEEDS:
@@ -172,7 +161,7 @@ def test_criterion_06_oracle_equivalence():
         def capture(record, state):
             reported.append((record.gbest_fitness, state.gbest_position.copy()))
 
-        _, trace = _run_seeded(split, config, seed, on_record=capture)
+        _, trace = run_seeded(split, scores, config, seed, on_record=capture)
         hits += trace[-1].gbest_fitness >= oracle_fitness - 0.02
         for recorded_fitness, mask in reported:
             _, again = evaluate_particle(mask, split, config)
@@ -190,9 +179,10 @@ def test_criterion_07_recovery_and_compression():
     whole_set = knn_accuracy(
         split, np.ones(split.feature_count, dtype=np.int8), config.knn
     )
+    scores = score_features(split.train, bin_count=10)
     accuracies, selected = [], []
     for seed in RUN_SEEDS:
-        _, trace = _run_seeded(split, config, seed)
+        _, trace = run_seeded(split, scores, config, seed)
         accuracies.append(trace[-1].gbest_accuracy)
         selected.append(trace[-1].gbest_selected)
     median_selected = statistics.median(selected)

@@ -142,6 +142,23 @@ def test_workers_in_asynchronous_mode_is_one_error_line(tmp_path, capsys):
     assert "update_mode" in err
 
 
+def test_workers_with_oracle_is_one_error_line(tmp_path, capsys):
+    assert _select(tmp_path, "--optimizer", "oracle", "--workers", "4") == 1
+    err = _one_error_line(capsys)
+    assert "workers=4" in err
+    assert "oracle" in err
+
+
+def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
+    assert _select(tmp_path / "select", "--workers", "4") == 1
+    assert not (tmp_path / "select" / "trace.jsonl").exists()
+    code = main(
+        ["compare", "--synth", SMALL, "--workers", "4", "--out", str(tmp_path / "cmp")]
+    )
+    assert code == 1
+    assert list((tmp_path / "cmp").glob("trace_*.jsonl")) == []
+
+
 # --- seed precedence ------------------------------------------------------
 
 def _resolve(argv):
@@ -396,6 +413,22 @@ def test_compare_single_seed_medians_are_the_finals(tmp_path, monkeypatch):
         final = read_trace(out / f"trace_{parts[0]}_3.jsonl")[-1]
         assert float(parts[2]) == final.gbest_fitness
         assert float(parts[4]) == final.gbest_selected
+
+
+def test_select_and_compare_write_the_same_trace_for_a_seed(tmp_path, monkeypatch):
+    monkeypatch.delenv("XORPSO_SEED", raising=False)
+    # on SMALL both baseline streams happen to give the same trace; here
+    # they differ, so the test sees which stream each command uses
+    run = ["--synth", "n=200,f=10,inf=3,seed=7", "--population", "6",
+           "--iterations", "5", "--seed", "4"]
+    assert main(["compare", *run, "--seeds", "4", "--out", str(tmp_path)]) == 0
+    for optimizer in ("xor", "baseline"):
+        out = tmp_path / optimizer
+        code = main(["select", *run, "--optimizer", optimizer, "--out", str(out)])
+        assert code == 0
+        assert _stripped(out / "trace.jsonl") == _stripped(
+            tmp_path / f"trace_{optimizer}_4.jsonl"
+        )
 
 
 def test_compare_rejects_bad_seed_list(tmp_path, capsys):

@@ -224,11 +224,18 @@ def test_masks_are_binary_and_deterministic():
 
 def test_seed_masks_validation():
     s = _scores([0.5, 0.1])
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="population"):
-        seed_masks(s, population=0)
+        seed_masks(s, population=0, rng=rng)
     with pytest.raises(ValueError, match="seeded_fraction"):
-        seed_masks(s, population=4, seeded_fraction=1.5)
+        seed_masks(s, population=4, seeded_fraction=1.5, rng=rng)
     with pytest.raises(ValueError, match="top_m"):
-        seed_masks(s, population=4, top_m=3)
+        seed_masks(s, population=4, top_m=3, rng=rng)
     with pytest.raises(ValueError, match="top_m"):
-        seed_masks(s, population=4, top_m=0)
+        seed_masks(s, population=4, top_m=0, rng=rng)
+
+
+def test_seed_masks_requires_a_generator():
+    # no unseeded fallback: two identical calls must never differ
+    with pytest.raises(TypeError, match="rng"):
+        seed_masks(_scores([0.5, 0.1]), population=4)

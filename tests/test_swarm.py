@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xorpso import (
+    BaselineConfig,
     FeatureDataset,
     IterationRecord,
     KnnConfig,
@@ -20,7 +21,11 @@ from xorpso import (
     knn_accuracy,
     position_update,
     read_trace,
+    run_baseline_bpso,
+    run_seeded,
     run_xor_pso,
+    score_features,
+    seed_masks,
     selected_count,
     selected_indices,
     write_trace,
@@ -306,6 +311,49 @@ def test_synchronous_result_is_worker_count_independent(synth_split):
     assert run(1) == run(4)
 
 
+# --- seeded runs ----------------------------------------------------------
+
+def _without_elapsed(trace):
+    return [(r.iteration, r.gbest_fitness, r.gbest_accuracy, r.gbest_selected,
+             r.inertia) for r in trace]
+
+
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+@pytest.mark.parametrize("optimizer", ["xor", "baseline"])
+def test_run_seeded_equals_the_explicit_stream_sequence(synth_split, optimizer, mode):
+    # on this instance every case's trace depends on which stream drives it
+    # and on the seeding settings, so a swapped stream or a dropped setting shows
+    split = synth_split(n_samples=80, n_features=16, n_informative=3)
+    scores = score_features(split.train)
+    cls = BaselineConfig if optimizer == "baseline" else PsoConfig
+    config = cls(population=6, iterations=6, update_mode=mode)
+    for seed in (0, 1):
+        seeding, xor_rng, baseline_rng = (
+            np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(seed).spawn(3)
+        )
+        masks = seed_masks(scores, 6, seeded_fraction=0.5, top_m=2, rng=seeding)
+        if optimizer == "baseline":
+            best, trace = run_baseline_bpso(split, config, masks, rng=baseline_rng)
+        else:
+            best, trace = run_xor_pso(split, config, masks, rng=xor_rng)
+        seen = []
+        got_best, got_trace = run_seeded(
+            split, scores, config, seed, seeded_fraction=0.5, top_m=2,
+            on_record=lambda record, state: seen.append(record),
+        )
+        assert np.array_equal(got_best, best)
+        assert _without_elapsed(got_trace) == _without_elapsed(trace)
+        assert seen == got_trace
+
+
+def test_run_seeded_passes_workers_to_the_driver(synth_split):
+    split = synth_split(n_samples=60, n_features=6, n_informative=2)
+    scores = score_features(split.train)
+    with pytest.raises(ValueError, match="workers=2"):
+        run_seeded(split, scores, PsoConfig(population=4, iterations=2), 0, workers=2)
+
+
 def test_initial_population_is_evaluated_before_first_iteration(tiny_split):
     # the optimum [1, 0] is present from the start, so iteration 0 must
     # already report it and no later iteration can move away
@@ -523,6 +571,14 @@ def test_trace_writer_streams_complete_lines(tmp_path):
         assert read_trace(path) == records[:1]
         writer.write(records[1])
     assert read_trace(path) == records
+
+
+def test_trace_writer_without_records_makes_no_file(tmp_path):
+    # a run rejected before its first iteration must not leave a trace file
+    path = tmp_path / "trace.jsonl"
+    with TraceWriter(path):
+        pass
+    assert not path.exists()
 
 
 def test_math_sanity_of_example_record():

@@ -50,7 +50,6 @@ from .swarm import (
     selected_count,
     selected_indices,
     sigmoid,
-    write_trace,
     xor_velocity_update,
 )
 
@@ -96,6 +95,5 @@ __all__ = [
     "sigmoid",
     "standardize_split",
     "stratified_split",
-    "write_trace",
     "xor_velocity_update",
 ]

@@ -22,18 +22,15 @@ class EmptyMaskError(ValueError):
 
 @dataclass(frozen=True)
 class KnnConfig:
-    """Neighbor count and distance metric for the wrapper classifier."""
+    """Neighbor count for the wrapper classifier (distance is Euclidean)."""
 
     k: int = 5
-    distance: str = "euclidean"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k % 2 == 0:
             raise ValueError(f"k must be odd to limit vote ties, got {self.k}")
-        if self.distance != "euclidean":
-            raise ValueError(f"unsupported distance metric {self.distance!r}")
 
 
 def knn_predict(
@@ -74,12 +71,11 @@ def knn_predict(
     # stable sort: equal distances keep ascending training-row index
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, : config.k]
     votes = split.train.labels[neighbors]
-    n_classes = int(split.train.labels.max()) + 1
-    preds = np.empty(votes.shape[0], dtype=np.int64)
-    for i, row in enumerate(votes):
-        # argmax of bincount resolves vote ties toward the lower class index
-        preds[i] = np.argmax(np.bincount(row, minlength=n_classes))
-    return preds
+    # votes are counted per present class, so no cost depends on label
+    # values; argmax takes the first maximum, so ties go to the lower class
+    classes = split.train.classes
+    counts = (votes[:, :, None] == classes).sum(axis=1)
+    return classes[np.argmax(counts, axis=1)]
 
 
 def knn_accuracy(

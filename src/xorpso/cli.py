@@ -36,9 +36,8 @@ import typing
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
-from .classify import EmptyMaskError, KnnConfig
+from .classify import KnnConfig
 from .data import (
-    DatasetError,
     FeatureDataset,
     SplitDataset,
     SynthSpec,
@@ -242,12 +241,13 @@ def _load_or_generate(config: RunConfig) -> FeatureDataset:
 
 
 def _prepare(config: RunConfig) -> tuple[Path, SplitDataset, MiScores]:
-    """Make the output directory, then load, split and MI-score the data."""
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Load, split and MI-score the data, then make the output directory."""
     dataset = _load_or_generate(config)
     split = standardize_split(stratified_split(dataset, config.val_fraction, config.seed))
-    return out_dir, split, score_features(split.train, bin_count=config.bins)
+    scores = score_features(split.train, bin_count=config.bins)
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, split, scores
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -298,9 +298,10 @@ def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path
 
 
 def cmd_select(config: RunConfig) -> int:
+    # a rejected setting stops the run before it reads the data or the disk
+    swarm_config = config.swarm_config(config.optimizer)
     out_dir, split, scores = _prepare(config)
     trace_path = out_dir / "trace.jsonl"
-    swarm_config = config.swarm_config(config.optimizer)
 
     if config.optimizer == "oracle":
         started = time.perf_counter()
@@ -334,12 +335,11 @@ def cmd_select(config: RunConfig) -> int:
 def cmd_compare(config: RunConfig, seeds: list[int]) -> int:
     if not seeds:
         raise CliError("compare needs at least one seed")
+    finals = {"xor": [], "baseline": []}
+    swarm_configs = {name: config.swarm_config(name) for name in finals}
     # one split for every run: differences in the summary come from the
     # optimizers and their seeds, never from resampled data
     out_dir, split, scores = _prepare(config)
-
-    finals = {"xor": [], "baseline": []}
-    swarm_configs = {name: config.swarm_config(name) for name in finals}
     for seed in seeds:
         for optimizer, swarm_config in swarm_configs.items():
             _, trace = _traced_run(
@@ -372,10 +372,10 @@ def cmd_compare(config: RunConfig, seeds: list[int]) -> int:
 
 
 def cmd_mi_report(config: RunConfig) -> int:
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _load_or_generate(config)
     scores = score_features(dataset, bin_count=config.bins)
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["rank,feature_index,feature,score"]
     for rank, j in enumerate(scores.ranking()):
         lines.append(f"{rank},{j},f{j},{float(scores.scores[j])!r}")
@@ -391,9 +391,9 @@ def cmd_mi_report(config: RunConfig) -> int:
 def cmd_synth_gen(config: RunConfig) -> int:
     if config.synth is None:
         raise CliError("synth-gen requires --synth")
+    spec = parse_synth(config.synth)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = parse_synth(config.synth)
     dataset = generate_synthetic(spec)
     target = out_dir / "synth.csv"
     tmp = out_dir / f"synth.tmp{os.getpid()}.csv"
@@ -472,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mi = sub.add_parser("mi-report", help="rank features by mutual information")
     _add_data_flags(p_mi)
     p_mi.add_argument("--bins", type=int, help="discretization bins for MI")
-    p_mi.add_argument("--seed", type=int, help="run seed (recorded in config echo)")
 
     p_synth = sub.add_parser("synth-gen", help="write a synthetic dataset to disk")
     p_synth.add_argument(
@@ -506,7 +505,7 @@ def main(argv=None) -> int:
         if args.command == "mi-report":
             return cmd_mi_report(config)
         return cmd_synth_gen(config)
-    except (CliError, DatasetError, EmptyMaskError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

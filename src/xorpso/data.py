@@ -157,17 +157,11 @@ class SplitDataset:
 
     train: FeatureDataset
     validation: FeatureDataset
-    split_seed: int
-    validation_fraction: float
 
     def __post_init__(self):
         if self.train.feature_count != self.validation.feature_count:
             raise DatasetError(
                 "train and validation partitions disagree on feature count"
-            )
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise DatasetError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
             )
 
     @property
@@ -335,16 +329,24 @@ def stratified_split(
     Raises
     ------
     DatasetError
-        Fraction outside (0, 1), or a class with fewer than two samples.
+        Fraction outside (0, 1), fewer than two classes, or a class with
+        fewer than two samples.  With two or more classes of at least two
+        samples each, both partitions hold at least two rows.
     """
     if not 0.0 < validation_fraction < 1.0:
         raise DatasetError(
             f"validation_fraction must be in (0, 1), got {validation_fraction}"
         )
-    rng = np.random.default_rng(seed)
     labels = dataset.labels
+    classes = dataset.classes
+    if classes.size < 2:
+        raise DatasetError(
+            f"every sample has class {classes[0]}; classification needs at "
+            "least 2 classes"
+        )
+    rng = np.random.default_rng(seed)
     val_rows = np.zeros(dataset.sample_count, dtype=bool)
-    for cls in np.unique(labels):
+    for cls in classes:
         idx = np.flatnonzero(labels == cls)
         if idx.size < 2:
             raise DatasetError(
@@ -362,12 +364,7 @@ def stratified_split(
             provenance=dataset.provenance,
         )
 
-    return SplitDataset(
-        train=subset(~val_rows),
-        validation=subset(val_rows),
-        split_seed=seed,
-        validation_fraction=validation_fraction,
-    )
+    return SplitDataset(train=subset(~val_rows), validation=subset(val_rows))
 
 
 def standardize_split(split: SplitDataset) -> SplitDataset:
@@ -389,8 +386,5 @@ def standardize_split(split: SplitDataset) -> SplitDataset:
         )
 
     return SplitDataset(
-        train=transform(split.train),
-        validation=transform(split.validation),
-        split_seed=split.split_seed,
-        validation_fraction=split.validation_fraction,
+        train=transform(split.train), validation=transform(split.validation)
     )

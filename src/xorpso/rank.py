@@ -19,7 +19,6 @@ class MiScores:
     """Per-feature mutual information against the labels, in nats."""
 
     scores: np.ndarray
-    bin_count: int
 
     def __post_init__(self):
         arr = np.array(self.scores, dtype=np.float64)
@@ -95,7 +94,7 @@ def score_features(train: FeatureDataset, bin_count: int = 10) -> MiScores:
     for j in range(train.feature_count):
         binned = discretize(train.features[:, j], bin_count)
         scores[j] = mutual_information(binned, train.labels)
-    return MiScores(scores=scores, bin_count=bin_count)
+    return MiScores(scores=scores)
 
 
 def seed_masks(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Callable
 
@@ -51,15 +51,6 @@ SYNCHRONOUS = "synchronous"
 EMPTY_MASK_FITNESS = -1.0
 
 BRUTE_FORCE_MAX_FEATURES = 20
-
-TRACE_FIELDS = (
-    "iteration",
-    "gbest_fitness",
-    "gbest_accuracy",
-    "gbest_selected",
-    "inertia",
-    "elapsed_ms",
-)
 
 
 def selected_count(mask: np.ndarray) -> int:
@@ -138,10 +129,9 @@ class SwarmState:
     Row i of ``position``, ``velocity`` and ``pbest_position`` (P×n) and
     entry i of ``pbest_fitness`` and ``pbest_accuracy`` (length P) belong
     to particle i.  Positions are 0/1 int8; the XOR optimizer stores
-    velocity as 0/1 int8, the baseline as real-valued float64.
-    ``iteration`` counts completed iterations; the global best never
-    worsens and re-evaluating ``gbest_position`` reproduces
-    ``gbest_fitness`` exactly.
+    velocity as 0/1 int8, the baseline as real-valued float64.  The
+    global best never worsens and re-evaluating ``gbest_position``
+    reproduces ``gbest_fitness`` exactly.
     """
 
     position: np.ndarray
@@ -152,8 +142,6 @@ class SwarmState:
     gbest_position: np.ndarray
     gbest_fitness: float
     gbest_accuracy: float
-    iteration: int
-    inertia: float
 
     def commit(self, i: int, evaluation: tuple[float, float]) -> None:
         """Take the evaluation ``(accuracy, fitness)`` of particle i's position.
@@ -184,8 +172,10 @@ class IterationRecord:
     elapsed_ms: float
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return {k: d[k] for k in TRACE_FIELDS}
+        return asdict(self)
+
+
+TRACE_FIELDS = tuple(f.name for f in fields(IterationRecord))
 
 
 def inertia_at(iteration: int, config: PsoConfig) -> float:
@@ -368,8 +358,6 @@ def _run_swarm(
             gbest_position=position[0].copy(),
             gbest_fitness=-np.inf,
             gbest_accuracy=0.0,
-            iteration=0,
-            inertia=config.w_initial,
         )
         for i, evaluation in enumerate(evaluate_many(position)):
             state.commit(i, evaluation)
@@ -398,8 +386,6 @@ def _run_swarm(
                         state.pbest_position[i], state.gbest_position, w, u[i],
                     )
                     state.commit(i, evaluate_particle(state.position[i], split, config))
-            state.iteration = t + 1
-            state.inertia = w
             record = IterationRecord(
                 iteration=t,
                 gbest_fitness=state.gbest_fitness,
@@ -538,18 +524,6 @@ def brute_force_best(
 
 # --- trace serialization -------------------------------------------------
 
-def record_to_json(record: IterationRecord) -> str:
-    """One JSONL line with the trace fields in canonical order."""
-    return json.dumps(record.to_dict())
-
-
-def write_trace(records, path) -> None:
-    """Write a whole trace as JSON lines."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_json(rec) + "\n")
-
-
 def read_trace(path) -> list[IterationRecord]:
     """Read a JSONL trace, dropping an unterminated trailing fragment.
 
@@ -573,12 +547,12 @@ def read_trace(path) -> list[IterationRecord]:
 
 
 class TraceWriter:
-    """Streams trace records to disk, flushing after every line.
+    """Streams trace records to disk as JSON lines, flushing after every line.
 
-    Long runs stay observable in progress; a crash leaves at most one
-    truncated final line, which :func:`read_trace` rejects.  The file is
-    opened by the first record, so a run rejected before its first
-    iteration leaves no trace file.
+    The one writer of the trace format.  Long runs stay observable in
+    progress; a crash leaves at most one truncated final line, which
+    :func:`read_trace` rejects.  The file is opened by the first record,
+    so a run rejected before its first iteration leaves no trace file.
     """
 
     def __init__(self, path):
@@ -591,7 +565,7 @@ class TraceWriter:
     def write(self, record: IterationRecord) -> None:
         if self._fh is None:
             self._fh = self.path.open("w", encoding="utf-8")
-        self._fh.write(record_to_json(record) + "\n")
+        self._fh.write(json.dumps(record.to_dict()) + "\n")
         self._fh.flush()
 
     def __exit__(self, *exc):

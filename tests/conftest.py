@@ -61,9 +61,7 @@ def tiny_split():
         features=np.array([[1.0, 7.0], [0.0, 7.0]]),
         labels=np.array([1, 0]),
     )
-    return SplitDataset(
-        train=train, validation=validation, split_seed=0, validation_fraction=1 / 3
-    )
+    return SplitDataset(train=train, validation=validation)
 
 
 @pytest.fixture
@@ -81,9 +79,7 @@ def duplicate_column_split():
         features=np.array([[1.0, 1.0], [0.0, 0.0]]),
         labels=np.array([1, 0]),
     )
-    return SplitDataset(
-        train=train, validation=validation, split_seed=0, validation_fraction=1 / 3
-    )
+    return SplitDataset(train=train, validation=validation)
 
 
 @pytest.fixture

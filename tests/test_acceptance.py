@@ -76,9 +76,7 @@ def test_criterion_01_headline_is_substituted():
     criteria 2-10.  Concretely: exhaustive verification at the headline's
     512-feature scale is refused by the enumeration guard."""
     wide = FeatureDataset(features=np.zeros((2, 512)), labels=[0, 1])
-    split = SplitDataset(
-        train=wide, validation=wide, split_seed=0, validation_fraction=0.5
-    )
+    split = SplitDataset(train=wide, validation=wide)
     refused = False
     try:
         brute_force_best(split, PsoConfig(knn=KnnConfig(k=1)))

@@ -159,6 +159,15 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
     assert list((tmp_path / "cmp").glob("trace_*.jsonl")) == []
 
 
+@pytest.mark.parametrize("command", ["select", "compare"])
+def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--synth", SMALL, "--population", "0", "--out", str(out)])
+    assert code == 1
+    assert "population" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 # --- seed precedence ------------------------------------------------------
 
 def _resolve(argv):
@@ -315,6 +324,17 @@ def test_missing_dataset_file_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "absent.csv" in err
     assert "Traceback" not in err
+
+
+def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "one_class.csv"
+    path.write_text("f0,label\n1.0,3\n2.0,3\n3.0,3\n")
+    code = main(["select", "--data", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert "class 3" in err
+    assert "2 classes" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_data_and_synth_are_mutually_exclusive(tmp_path, capsys):

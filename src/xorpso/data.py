@@ -8,8 +8,11 @@ shared freely across concurrent fitness evaluations.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import secrets
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -169,6 +172,25 @@ class SplitDataset:
         return self.train.feature_count
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` as the whole of ``path``; the one writer of output files.
+
+    Makes the parent directory, writes a temporary file beside ``path`` with
+    the mode :func:`open` would give it, and renames it over ``path``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def provenance_path(path) -> Path:
     """Sidecar JSON path for a dataset file (``data.csv`` -> ``data.provenance.json``)."""
     return Path(path).with_suffix(".provenance.json")
@@ -194,7 +216,7 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
     DatasetError
         Missing file, absent label column, a non-numeric or non-finite cell
         (the message names the offending row and column), a non-integer
-        label, or fewer than two data rows.
+        label, fewer than two data rows, or a malformed provenance sidecar.
     """
     path = Path(path)
     if not path.is_file():
@@ -258,7 +280,11 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
     provenance = None
     sidecar = provenance_path(path)
     if sidecar.is_file():
-        provenance = SynthProvenance.from_dict(json.loads(sidecar.read_text()))
+        try:
+            record = json.loads(sidecar.read_text(encoding="utf-8"))
+            provenance = SynthProvenance.from_dict(record)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetError(f"{sidecar}: malformed provenance sidecar: {exc!r}") from None
     return FeatureDataset(
         features=np.array(rows, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),
@@ -271,19 +297,21 @@ def save_dataset(dataset: FeatureDataset, path, label_column: str = "label") -> 
 
     Floats are written with ``repr`` so a save/load round trip reproduces
     every value exactly.  Synthetic provenance, when present, goes to a
-    JSON sidecar next to the CSV.
+    JSON sidecar next to the CSV, written first; without provenance, an
+    old sidecar there is deleted.
     """
     path = Path(path)
-    header = [f"f{j}" for j in range(dataset.feature_count)] + [label_column]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([f"f{j}" for j in range(dataset.feature_count)] + [label_column])
+    for row, label in zip(dataset.features, dataset.labels):
+        writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
+    sidecar = provenance_path(path)
     if dataset.provenance is not None:
-        provenance_path(path).write_text(
-            json.dumps(dataset.provenance.to_dict(), indent=2) + "\n"
-        )
+        write_atomic(sidecar, json.dumps(dataset.provenance.to_dict(), indent=2) + "\n")
+    else:
+        sidecar.unlink(missing_ok=True)
+    write_atomic(path, text.getvalue())
 
 
 def generate_synthetic(spec: SynthSpec) -> FeatureDataset:
@@ -317,6 +345,17 @@ def generate_synthetic(spec: SynthSpec) -> FeatureDataset:
     )
 
 
+def require_two_classes(dataset: FeatureDataset) -> np.ndarray:
+    """Return the dataset's classes; raise :class:`DatasetError` if there is only one."""
+    classes = dataset.classes
+    if classes.size < 2:
+        raise DatasetError(
+            f"every sample has class {classes[0]}; classification needs at "
+            "least 2 classes"
+        )
+    return classes
+
+
 def stratified_split(
     dataset: FeatureDataset, validation_fraction: float, seed: int
 ) -> SplitDataset:
@@ -338,12 +377,7 @@ def stratified_split(
             f"validation_fraction must be in (0, 1), got {validation_fraction}"
         )
     labels = dataset.labels
-    classes = dataset.classes
-    if classes.size < 2:
-        raise DatasetError(
-            f"every sample has class {classes[0]}; classification needs at "
-            "least 2 classes"
-        )
+    classes = require_two_classes(dataset)
     rng = np.random.default_rng(seed)
     val_rows = np.zeros(dataset.sample_count, dtype=bool)
     for cls in classes:

@@ -541,7 +541,7 @@ def read_trace(path) -> list[IterationRecord]:
         try:
             obj = json.loads(line)
             records.append(IterationRecord(**{k: obj[k] for k in TRACE_FIELDS}))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed trace line {i + 1}: {exc}") from None
     return records
 
@@ -551,8 +551,8 @@ class TraceWriter:
 
     The one writer of the trace format.  Long runs stay observable in
     progress; a crash leaves at most one truncated final line, which
-    :func:`read_trace` rejects.  The file is opened by the first record,
-    so a run rejected before its first iteration leaves no trace file.
+    :func:`read_trace` rejects.  The first record makes the file (and its
+    directory), so a run rejected before its first iteration leaves neither.
     """
 
     def __init__(self, path):
@@ -564,6 +564,7 @@ class TraceWriter:
 
     def write(self, record: IterationRecord) -> None:
         if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("w", encoding="utf-8")
         self._fh.write(json.dumps(record.to_dict()) + "\n")
         self._fh.flush()

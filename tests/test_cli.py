@@ -1,12 +1,14 @@
 """End-to-end command-line runs: config resolution, outputs, and error paths."""
 
 import json
+import os
 import statistics
 
 import numpy as np
 import pytest
 
 from xorpso import (
+    BaselineConfig,
     PsoConfig,
     SynthSpec,
     brute_force_best,
@@ -86,6 +88,11 @@ def test_run_config_round_trips_through_dict():
     assert RunConfig.from_dict(config.to_dict()) == config
 
 
+def test_run_config_defaults_are_the_library_defaults():
+    assert RunConfig().swarm_config("xor") == PsoConfig()
+    assert RunConfig().swarm_config("baseline") == BaselineConfig()
+
+
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(CliError, match="unknown config key.*typo"):
         RunConfig.from_dict({"typo": 1})
@@ -159,13 +166,54 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
     assert list((tmp_path / "cmp").glob("trace_*.jsonl")) == []
 
 
-@pytest.mark.parametrize("command", ["select", "compare"])
-def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(["select", "--population", "0"], "population", id="select"),
+        pytest.param(["compare", "--population", "0"], "population", id="compare"),
+        pytest.param(["select", "--seeded-fraction", "1.5"], "seeded_fraction",
+                     id="seeded-fraction"),
+        pytest.param(["select", "--top-m", "99"], "top_m", id="top-m"),
+        pytest.param(["select", "--knn-k", "41"], "k=41", id="knn-k"),
+        # the oracle rejects the feature count only after the data is scored
+        pytest.param(["select", "--optimizer", "oracle", "--synth", "n=50,f=25,inf=3"],
+                     "20 features", id="oracle-too-wide"),
+    ],
+)
+def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    code = main([command, "--synth", SMALL, "--population", "0", "--out", str(out)])
-    assert code == 1
-    assert "population" in _one_error_line(capsys)
+    synth = [] if "--synth" in argv else ["--synth", SMALL]
+    assert main([*argv, *synth, "--out", str(out)]) == 1
+    assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_every_output_has_the_mode_the_umask_gives(tmp_path, monkeypatch, umask_022):
+    monkeypatch.delenv("XORPSO_SEED", raising=False)
+    run = ["--population", "6", "--iterations", "3", "--out"]
+    assert main(["synth-gen", "--synth", SMALL, "--out", str(tmp_path / "gen")]) == 0
+    data = str(tmp_path / "gen" / "synth.csv")
+    for name, argv in {
+        "xor": ["select", "--data", data, *run],
+        "oracle": ["select", "--data", data, "--optimizer", "oracle", "--out"],
+        "compare": ["compare", "--data", data, "--seeds", "0,1", *run],
+        "mi": ["mi-report", "--data", data, "--out"],
+    }.items():
+        assert main([*argv, str(tmp_path / name)]) == 0
+    outputs = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert len(outputs) == 2 + 3 + 3 + 5 + 1
+    for path in outputs:
+        probe = path.parent / "probe.txt"
+        probe.write_text("")
+        assert path.stat().st_mode == probe.stat().st_mode, path.name
+        probe.unlink()
 
 
 # --- seed precedence ------------------------------------------------------
@@ -337,6 +385,27 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        "{}",
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1, "bogus": 1}, '
+        '"informative_indices": [0]}',
+        "oops",
+    ],
+    ids=["empty-object", "unknown-spec-key", "not-json"],
+)
+def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sidecar):
+    path = tmp_path / "d.csv"
+    path.write_text("f0,f1,label\n1,2,0\n2,3,1\n3,1,0\n4,4,1\n")
+    (tmp_path / "d.provenance.json").write_text(sidecar)
+    code = main(["mi-report", "--data", str(path), "--out", str(tmp_path / "mi")])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert "d.provenance.json" in err
+    assert "Traceback" not in err
+
+
 def test_data_and_synth_are_mutually_exclusive(tmp_path, capsys):
     code = main(
         ["select", "--data", str(tmp_path / "x.csv"), "--synth", SMALL]
@@ -480,6 +549,17 @@ def test_mi_report_ranks_planted_features_first(tmp_path, monkeypatch):
     # scores are emitted in descending order
     scores = [float(r.split(",")[3]) for r in rows]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_mi_report_rejects_one_class_data(tmp_path, capsys):
+    path = tmp_path / "one_class.csv"
+    path.write_text("f0,label\n1.0,3\n2.0,3\n3.0,3\n")
+    code = main(["mi-report", "--data", str(path), "--out", str(tmp_path / "mi")])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert "class 3" in err
+    assert "2 classes" in err
+    assert not (tmp_path / "mi").exists()
 
 
 def test_mi_report_scores_constant_column_zero(tmp_path):

@@ -15,6 +15,7 @@ from xorpso import (
     standardize_split,
     stratified_split,
 )
+from xorpso.data import write_atomic
 
 
 # --- FeatureDataset validation -------------------------------------------
@@ -166,6 +167,26 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     assert back.provenance == ds.provenance
     assert provenance_path(path).is_file()
+
+
+def test_save_without_provenance_removes_an_old_sidecar(tmp_path):
+    path = tmp_path / "data.csv"
+    save_dataset(generate_synthetic(SynthSpec(12, 3, 1, seed=8)), path)
+    plain = FeatureDataset(features=np.ones((4, 2)), labels=[0, 1, 0, 1])
+    save_dataset(plain, path)
+    back = load_dataset(path)
+    assert back.feature_count == 2
+    assert back.provenance is None
+    assert not provenance_path(path).exists()
+
+
+def test_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path):
+    path = tmp_path / "out" / "data.csv"
+    write_atomic(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(path, "\ud800")  # a lone surrogate cannot be encoded
+    assert path.read_text() == "old\n"
+    assert list(path.parent.iterdir()) == [path]
 
 
 def test_load_respects_label_column_position(tmp_path):

@@ -544,9 +544,11 @@ def test_reader_drops_unterminated_final_line(tmp_path):
 def test_reader_rejects_malformed_interior_line(tmp_path):
     path = tmp_path / "trace.jsonl"
     lines = [json.dumps(r.to_dict()) for r in _records()]
-    path.write_text(lines[0] + "\nnot json\n" + lines[1] + "\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_trace(path)
+    # not JSON, then JSON values that are not objects
+    for bad in ["not json", "5", "null", "[1, 2]", '"x"']:
+        path.write_text(lines[0] + "\n" + bad + "\n" + lines[1] + "\n")
+        with pytest.raises(ValueError, match="malformed trace line 2"):
+            read_trace(path)
 
 
 def test_reader_rejects_missing_fields(tmp_path):

@@ -68,14 +68,31 @@ def knn_predict(
     valid = split.validation.features[:, selected]
     # squared Euclidean keeps the same neighbor ordering and skips the sqrt
     dist = cdist(valid, train, metric="sqeuclidean")
-    # stable sort: equal distances keep ascending training-row index
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, : config.k]
-    votes = split.train.labels[neighbors]
+    votes = split.train.labels[nearest_rows(dist, config.k)]
     # votes are counted per present class, so no cost depends on label
     # values; argmax takes the first maximum, so ties go to the lower class
     classes = split.train.classes
     counts = (votes[:, :, None] == classes).sum(axis=1)
     return classes[np.argmax(counts, axis=1)]
+
+
+def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``dist``.
+
+    Equal distances prefer the lower column index.  Within a row the
+    columns come in ascending index order, not by distance.  The selection
+    is partial: ``np.partition`` finds each row's k-th smallest distance,
+    every strictly nearer column is taken, and the lowest-index columns at
+    exactly that distance fill the remaining places.  Entries must not be
+    NaN; ``inf`` ties like any other value.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    nearer = dist < kth
+    tied = dist == kth
+    room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
+    chosen = nearer | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
+    # every row holds exactly k chosen columns, so row-major flat indices reshape
+    return np.flatnonzero(chosen).reshape(-1, k) % dist.shape[1]
 
 
 def knn_accuracy(

@@ -216,7 +216,9 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
     DatasetError
         Missing file, absent label column, a non-numeric or non-finite cell
         (the message names the offending row and column), a non-integer
-        label, fewer than two data rows, or a malformed provenance sidecar.
+        label, fewer than two data rows, or a provenance sidecar that is
+        malformed or contradicts the file (sample or feature count, or an
+        informative index out of range).
     """
     path = Path(path)
     if not path.is_file():
@@ -285,6 +287,16 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
             provenance = SynthProvenance.from_dict(record)
         except (ValueError, KeyError, TypeError) as exc:
             raise DatasetError(f"{sidecar}: malformed provenance sidecar: {exc!r}") from None
+        spec = provenance.spec
+        if (spec.n_samples, spec.n_features) != (len(rows), len(feature_names)) or any(
+            not 0 <= i < len(feature_names) for i in provenance.informative_indices
+        ):
+            raise DatasetError(
+                f"{sidecar}: provenance sidecar contradicts {path.name}: it claims "
+                f"{spec.n_samples} samples, {spec.n_features} features and "
+                f"informative indices {list(provenance.informative_indices)}, "
+                f"the file has {len(rows)} samples and {len(feature_names)} features"
+            )
     return FeatureDataset(
         features=np.array(rows, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),

@@ -1,7 +1,10 @@
-"""k-NN mask evaluation against hand computations and a naive reference."""
+"""k-NN mask evaluation against hand computations and reference implementations."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from xorpso import (
     EmptyMaskError,
@@ -11,6 +14,7 @@ from xorpso import (
     knn_accuracy,
     knn_predict,
 )
+from xorpso.classify import nearest_rows
 
 
 def naive_knn(train_x, train_y, val_x, k, mask):
@@ -31,6 +35,23 @@ def naive_knn(train_x, train_y, val_x, k, mask):
     return preds
 
 
+def argsort_rows(dist, k):
+    """Reference selection: the first k columns of a stable sort of each row."""
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+def argsort_predict(split, mask, k):
+    """Reference prediction: stable-sort neighbours, vote ties to the lowest label."""
+    cols = np.flatnonzero(mask)
+    dist = cdist(split.validation.features[:, cols], split.train.features[:, cols],
+                 metric="sqeuclidean")
+    preds = []
+    for row in split.train.labels[argsort_rows(dist, k)]:
+        labels, counts = np.unique(row, return_counts=True)
+        preds.append(labels[np.argmax(counts)])
+    return preds
+
+
 def _make_split(train_x, train_y, val_x, val_y):
     return SplitDataset(
         train=FeatureDataset(features=train_x, labels=train_y),
@@ -46,7 +67,7 @@ def test_informative_feature_alone_is_perfect(tiny_split):
 
 
 def test_constant_feature_alone_predicts_first_row_label(tiny_split):
-    # all distances are zero, so the stable sort returns train row 0 (label 1)
+    # all distances are equal, so the lowest train row, row 0 (label 1), wins
     config = KnnConfig(k=1)
     preds = knn_predict(tiny_split, np.array([0, 1]), config)
     assert list(preds) == [1, 1]
@@ -152,3 +173,51 @@ def test_accuracy_is_mean_agreement(tiny_split):
     preds = knn_predict(tiny_split, np.array([0, 1]), config)
     expected = np.mean(preds == tiny_split.validation.labels)
     assert knn_accuracy(tiny_split, np.array([0, 1]), config) == expected
+
+
+# --- partial selection against the stable-sort reference ------------------
+
+# value pools that make exact distance ties common: small integers, and
+# finite values so large that squared differences overflow to inf
+INTEGER_VALUES = [0.0, 1.0, 2.0, 3.0]
+HUGE_VALUES = [-1.7e308, -1e200, 0.0, 1e154, 1e200, 1.7e308]
+
+
+@st.composite
+def _tie_heavy_instances(draw):
+    k = draw(st.sampled_from([1, 3, 5]))
+    # no extra rows gives k == n_train (a dataset holds at least two rows)
+    n_train = max(2, k + draw(st.integers(0, 8)))
+    n_val = draw(st.integers(2, 6))
+    n_feat = draw(st.integers(1, 4))
+    values = draw(st.sampled_from([INTEGER_VALUES, HUGE_VALUES]))
+
+    def rows(n):
+        return draw(st.lists(
+            st.lists(st.sampled_from(values), min_size=n_feat, max_size=n_feat),
+            min_size=n, max_size=n))
+
+    train_x = np.array(rows(n_train))
+    if draw(st.booleans()):
+        # duplicate training rows: every row copies one of a few originals
+        picks = draw(st.lists(st.integers(0, 2), min_size=n_train, max_size=n_train))
+        train_x = train_x[np.minimum(picks, n_train - 1)]
+    train_y = draw(st.lists(st.integers(0, 2), min_size=n_train, max_size=n_train))
+    mask = draw(st.lists(st.integers(0, 1), min_size=n_feat, max_size=n_feat)
+                .filter(any))
+    split = _make_split(train_x, train_y, np.array(rows(n_val)), [0] * n_val)
+    return split, np.array(mask), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_instances())
+def test_partial_selection_matches_stable_sort(instance):
+    split, mask, k = instance
+    cols = np.flatnonzero(mask)
+    dist = cdist(split.validation.features[:, cols], split.train.features[:, cols],
+                 metric="sqeuclidean")
+    chosen = nearest_rows(dist, k)
+    assert chosen.shape == (dist.shape[0], k)
+    assert np.array_equal(chosen, np.sort(argsort_rows(dist, k), axis=1))
+    got = knn_predict(split, mask, KnnConfig(k=k))
+    assert list(got) == argsort_predict(split, mask, k)

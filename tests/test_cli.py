@@ -392,8 +392,15 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
         '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1, "bogus": 1}, '
         '"informative_indices": [0]}',
         "oops",
+        '{"spec": {"n_samples": 9, "n_features": 2, "n_informative": 1}, '
+        '"informative_indices": [0]}',
+        '{"spec": {"n_samples": 4, "n_features": 3, "n_informative": 1}, '
+        '"informative_indices": [0]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1}, '
+        '"informative_indices": [7]}',
     ],
-    ids=["empty-object", "unknown-spec-key", "not-json"],
+    ids=["empty-object", "unknown-spec-key", "not-json",
+         "wrong-sample-count", "wrong-feature-count", "index-out-of-range"],
 )
 def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sidecar):
     path = tmp_path / "d.csv"
@@ -404,6 +411,7 @@ def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sideca
     err = _one_error_line(capsys)
     assert "d.provenance.json" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "mi").exists()
 
 
 def test_data_and_synth_are_mutually_exclusive(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Golden traces: pinned digests of short optimizer runs, and array-vs-row moves.
+"""Golden outputs: pinned digests of short optimizer runs and CLI output files.
 
-Each digest is the SHA-256 of a run's trace lines without ``elapsed_ms``
-followed by the bytes of its best mask.  The runs are seeded as
-``xorpso compare`` seeds them: ``SeedSequence(seed).spawn(3)`` gives the
+Each trace digest is the SHA-256 of a run's trace lines without
+``elapsed_ms`` followed by the bytes of its best mask.  The runs are seeded
+as ``xorpso compare`` seeds them: ``SeedSequence(seed).spawn(3)`` gives the
 seeding, XOR and baseline streams.  A refactor or fast path that changes
-any trace value, or the order of the random draws, changes a digest.
+any trace value, or the order of the random draws, changes a digest.  The
+CLI digests pin the bytes of every file and of stdout that the subcommands
+write, apart from wall-clock times and the output path.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ from xorpso import (
     stratified_split,
     xor_velocity_update,
 )
+from xorpso.cli import main
 from xorpso.swarm import baseline_move
 
 POPULATION = 12
@@ -128,6 +131,93 @@ CASES = [
 def test_trace_matches_golden_digest(prepared, instance, optimizer, mode, seed):
     key = f"{instance}/{optimizer}/{mode}/{seed}"
     assert _golden_run(prepared, instance, optimizer, mode, seed) == GOLDEN[key]
+
+
+# --- CLI output bytes -----------------------------------------------------
+
+# traces on this instance differ between optimizers and seeds; the oracle
+# runs on a 5-feature one
+CLI_SPEC = "n=200,f=10,inf=3,sep=1.0,seed=7"
+ORACLE_SPEC = "n=40,f=5,inf=2,seed=3"
+CLI_RUN = ["--population", "6", "--iterations", "5", "--seed", "1"]
+CLI_GOLDEN = {
+    "synth-gen/stdout": "194eeb6bf837f387dbd816a4186c5eec0f7771975580a5d12eb111fd1458af7a",
+    "synth-gen/synth.csv": "49f2a8c6b1219044867ffdebadf9edce20c2bc84bb76881926a8fce4333ea0f2",
+    "synth-gen/synth.provenance.json": "447f512ff154b931777778dc84600596a13cb777f4883bf186a30a978afba848",
+    "select-xor/stdout": "5dc2ab30df700cf3bec172e5d6e602ab6b7b442d4c7840dceb13f92b2d2ad89e",
+    "select-xor/result.json": "02f7adac8a3753ae1648aba10b1ff703375b7f0daeb95d2d0bc71ee37a51ccbe",
+    "select-xor/selected.csv": "9ff01fce8cef9b00b2c84ebea1be532e6459dd382b6554df015d79458781b0fd",
+    "select-xor/trace.jsonl": "1e7ffb3ef5d5ec3f3973191be5af49d9867d23736e775ed8b4fc35550b713dc8",
+    "select-baseline/stdout": "10ca2b2ca2497c47573967c7782fb98acfaeeef542ffff14435f7d53aee7ddfd",
+    "select-baseline/result.json": "1f110f5fc8f25dfda993f15fb194b8f39fcd7080c5066e045398429191e3d0ad",
+    "select-baseline/selected.csv": "566eee5064bdadae82d16f7c7d98702a3d5b379cc9a240f8fc6c92f69a4c3221",
+    "select-baseline/trace.jsonl": "524c9798c8ae061eaeda3e2cdd44ef36746470247016fb697e7754ad8fc02be7",
+    "select-oracle/stdout": "621845c111880bef3b64d0a5aae72b5df12010f80d89c03342cc0a7d4236bdac",
+    "select-oracle/result.json": "9c001cf8470f173b50ce30b696d53748dd59c0e38012dd092247516c4e4882dd",
+    "select-oracle/selected.csv": "5c206d7326edb67694e76bb586df89f00b0324afff56ed739df7048698f0c77d",
+    "select-oracle/trace.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "compare/stdout": "4a892809a58ba585489840d3116d5a98c53acc726dc2cbdfc8905700f2062158",
+    "compare/summary.csv": "ba17fcb907b6ef6dd033c241e7e61b92f48ad399d33f8333414e6379d1f3f3b0",
+    "compare/trace_baseline_0.jsonl": "5229d2295f55326290589b6271135eacc751eed21c08af83fd1b14de49c093b3",
+    "compare/trace_baseline_2.jsonl": "880f43ac7a88dc23df7aed02dabac2396a80d261a25d37859e7a7f3ee9f43235",
+    "compare/trace_xor_0.jsonl": "441f772da27e0e1862f8c7ed1d5e2cd731863dfb93c2df98b3214b9f72cac507",
+    "compare/trace_xor_2.jsonl": "3221e01b030330728a9a53869751c98a201847b309c5f08ddfc26206f0a9b5e2",
+    "mi-report/stdout": "ae44797caf5a20299a5c48532a5920cd9b42328901e338c928ae2a3922c60fb2",
+    "mi-report/mi.csv": "845a166db3bbde65312e5c2005579e3aba1aa8268a87b4407e30a0a403630ced",
+}
+
+
+def _canonical_json(text: str, dumps) -> dict:
+    """Parse ``text`` and check that ``dumps`` writes it back byte for byte."""
+    obj = json.loads(text)
+    assert dumps(obj) == text
+    return obj
+
+
+def _cli_bytes(path, tmp_path) -> bytes:
+    """A CLI output file's bytes without wall-clock times or the output path.
+
+    The data path the config echo holds starts with ``<tmp>`` in place of
+    the test's temporary directory.
+    """
+    text = path.read_text(encoding="utf-8").replace(str(tmp_path), "<tmp>")
+    if path.name == "result.json":
+        result = _canonical_json(text, lambda o: json.dumps(o, indent=2) + "\n")
+        del result["wall_ms"], result["config"]["out"]
+        text = json.dumps(result, indent=2) + "\n"
+    elif path.suffix == ".jsonl":
+        rows = [_canonical_json(line, json.dumps) for line in text.splitlines()]
+        for row in rows:
+            del row["elapsed_ms"]
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+    elif path.name == "summary.csv":
+        lines = text.splitlines()
+        assert all(line.count(",") == 5 for line in lines)
+        text = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+    return text.encode()
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("XORPSO_SEED", raising=False)
+    data = str(tmp_path / "synth-gen" / "synth.csv")
+    commands = {
+        "synth-gen": ["synth-gen", "--synth", CLI_SPEC],
+        "select-xor": ["select", "--data", data, *CLI_RUN],
+        "select-baseline": ["select", "--data", data, *CLI_RUN,
+                            "--optimizer", "baseline"],
+        "select-oracle": ["select", "--synth", ORACLE_SPEC, "--optimizer", "oracle"],
+        "compare": ["compare", "--data", data, *CLI_RUN, "--seeds", "0,2"],
+        "mi-report": ["mi-report", "--data", data],
+    }
+    digests = {}
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+        digests[f"{name}/stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        for path in sorted((tmp_path / name).iterdir()):
+            key = f"{name}/{path.name}"
+            digests[key] = hashlib.sha256(_cli_bytes(path, tmp_path)).hexdigest()
+    assert digests == CLI_GOLDEN
 
 
 # --- array moves equal row-by-row moves ----------------------------------

@@ -78,21 +78,23 @@ class RunConfig:
     Field names match the CLI flag names (dashes as underscores) so flag
     values, config files, and the ``result.json`` echo merge mechanically.
     ``c1``/``c2``/``v_clamp``/``w_min`` have no dedicated flags and are
-    settable through a config file only.
+    settable through a config file only.  Swarm and k-NN defaults are the
+    library's: ``threshold`` is ``accuracy_threshold`` and ``knn_k`` is
+    ``KnnConfig.k``.
     """
 
     data: str | None = None
     label_column: str = "label"
     synth: str | None = None
     optimizer: str = "xor"
-    population: int = 100
-    iterations: int = 100
-    w_initial: float = 1.0
-    w_decay: float = 0.05
-    w_period: int = 5
-    w_min: float = 0.0
-    threshold: float = 0.98
-    knn_k: int = 5
+    population: int = PsoConfig.population
+    iterations: int = PsoConfig.iterations
+    w_initial: float = PsoConfig.w_initial
+    w_decay: float = PsoConfig.w_decay
+    w_period: int = PsoConfig.w_period
+    w_min: float = PsoConfig.w_min
+    threshold: float = PsoConfig.accuracy_threshold
+    knn_k: int = KnnConfig.k
     val_fraction: float = 0.2
     seed: int = DEFAULT_SEED
     seeded_fraction: float = 0.2
@@ -100,10 +102,10 @@ class RunConfig:
     bins: int = 10
     workers: int = 1
     out: str = "."
-    update_mode: str = ASYNCHRONOUS
-    c1: float = 2.0
-    c2: float = 2.0
-    v_clamp: float = 4.0
+    update_mode: str = PsoConfig.update_mode
+    c1: float = BaselineConfig.c1
+    c2: float = BaselineConfig.c2
+    v_clamp: float = BaselineConfig.v_clamp
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -157,13 +159,21 @@ def _check_type(key: str, value, annotation) -> None:
         raise CliError(f"config key {key!r} must be {names}, got {value!r}")
 
 
+# synth spec key -> (SynthSpec field, conversion)
+SYNTH_KEYS = {
+    "n": ("n_samples", int), "f": ("n_features", int), "inf": ("n_informative", int),
+    "sep": ("class_separation", float), "noise": ("noise_std", float),
+    "seed": ("seed", int),
+}
+
+
 def parse_synth(text: str) -> SynthSpec:
     """Parse a ``key=value`` synthetic-data spec.
 
     Required keys: ``n`` (samples), ``f`` (features), ``inf`` (informative
-    count).  Optional: ``sep`` (class separation, default 2.0), ``noise``
-    (noise std, default 1.0), ``seed`` (default 0; independent of the run
-    seed so re-seeding an optimizer never changes the data).
+    count).  Optional: ``sep`` (class separation), ``noise`` (noise std),
+    ``seed`` (independent of the run seed so re-seeding an optimizer never
+    changes the data); an absent one takes its :class:`SynthSpec` default.
     """
     values = {}
     for part in text.split(","):
@@ -174,22 +184,18 @@ def parse_synth(text: str) -> SynthSpec:
             raise CliError(f"synth spec {text!r}: expected key=value, got {part!r}")
         key, _, raw = part.partition("=")
         values[key.strip()] = raw.strip()
-    known = {"n", "f", "inf", "sep", "noise", "seed"}
-    unknown = sorted(set(values) - known)
+    unknown = sorted(set(values) - set(SYNTH_KEYS))
     if unknown:
         raise CliError(f"synth spec {text!r}: unknown key(s) {', '.join(unknown)}")
     missing = sorted({"n", "f", "inf"} - set(values))
     if missing:
         raise CliError(f"synth spec {text!r}: missing key(s) {', '.join(missing)}")
     try:
-        return SynthSpec(
-            n_samples=int(values["n"]),
-            n_features=int(values["f"]),
-            n_informative=int(values["inf"]),
-            class_separation=float(values.get("sep", 2.0)),
-            noise_std=float(values.get("noise", 1.0)),
-            seed=int(values.get("seed", 0)),
-        )
+        return SynthSpec(**{
+            name: convert(values[key])
+            for key, (name, convert) in SYNTH_KEYS.items()
+            if key in values
+        })
     except ValueError as exc:
         raise CliError(f"synth spec {text!r}: {exc}") from None
 
@@ -247,30 +253,6 @@ def _prepare(config: RunConfig) -> tuple[SplitDataset, MiScores]:
     return split, score_features(split.train, bin_count=config.bins)
 
 
-def _write_result(path: Path, config: RunConfig, mask, fitness_value,
-                  accuracy, n_features, iterations_run, wall_ms) -> None:
-    result = {
-        "selected_indices": selected_indices(mask),
-        "selected_count": len(selected_indices(mask)),
-        "feature_count": n_features,
-        "fitness": fitness_value,
-        "accuracy": accuracy,
-        "seed": config.seed,
-        "optimizer": config.optimizer,
-        "iterations_run": iterations_run,
-        "wall_ms": wall_ms,
-        "config": config.to_dict(),
-    }
-    write_atomic(path, json.dumps(result, indent=2) + "\n")
-
-
-def _write_selected_csv(path: Path, mask, scores) -> None:
-    lines = ["index,feature,mi_score"]
-    for j in selected_indices(mask):
-        lines.append(f"{j},f{j},{float(scores.scores[j])!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
 def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path):
     """One :func:`run_seeded` run, streaming its trace to ``trace_path``."""
     with TraceWriter(trace_path) as writer:
@@ -305,15 +287,26 @@ def cmd_select(config: RunConfig) -> int:
         wall_ms = sum(record.elapsed_ms for record in trace)
         iterations_run = len(trace)
 
-    _write_result(
-        out_dir / "result.json", config, mask, best_fitness, accuracy,
-        split.feature_count, iterations_run, wall_ms,
-    )
-    _write_selected_csv(out_dir / "selected.csv", mask, scores)
-    n_selected = len(selected_indices(mask))
+    indices = selected_indices(mask)
+    result = {
+        "selected_indices": indices,
+        "selected_count": len(indices),
+        "feature_count": split.feature_count,
+        "fitness": best_fitness,
+        "accuracy": accuracy,
+        "seed": config.seed,
+        "optimizer": config.optimizer,
+        "iterations_run": iterations_run,
+        "wall_ms": wall_ms,
+        "config": config.to_dict(),
+    }
+    write_atomic(out_dir / "result.json", json.dumps(result, indent=2) + "\n")
+    lines = ["index,feature,mi_score"]
+    lines += [f"{j},f{j},{float(scores.scores[j])!r}" for j in indices]
+    write_atomic(out_dir / "selected.csv", "\n".join(lines) + "\n")
     print(
         f"{config.optimizer}: fitness={best_fitness:.6f} accuracy={accuracy:.4f} "
-        f"selected={n_selected}/{split.feature_count} -> {out_dir / 'result.json'}"
+        f"selected={len(indices)}/{split.feature_count} -> {out_dir / 'result.json'}"
     )
     return 0
 
@@ -390,15 +383,21 @@ def cmd_synth_gen(config: RunConfig) -> int:
     return 0
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help="CSV dataset path")
-    parser.add_argument("--label-column", help="label column name (default: label)")
+def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--synth",
-        help="synthetic data spec, e.g. n=400,f=64,inf=8[,sep=2.0][,noise=1.0][,seed=0]",
+        help="synthetic data spec, e.g. n=400,f=64,inf=8"
+        f"[,sep={SynthSpec.class_separation}][,noise={SynthSpec.noise_std}]"
+        f"[,seed={SynthSpec.seed}]",
     )
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--out", help="output directory (default: current directory)")
+
+
+def _add_data_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--data", help="CSV dataset path")
+    parser.add_argument("--label-column", help="label column name (default: label)")
+    _add_synth_flags(parser)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -450,12 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mi.add_argument("--bins", type=int, help="discretization bins for MI")
 
     p_synth = sub.add_parser("synth-gen", help="write a synthetic dataset to disk")
-    p_synth.add_argument(
-        "--synth",
-        help="synthetic data spec, e.g. n=400,f=64,inf=8[,sep=2.0][,noise=1.0][,seed=0]",
-    )
-    p_synth.add_argument("--config", help="JSON config file (flags override it)")
-    p_synth.add_argument("--out", help="output directory (default: current directory)")
+    _add_synth_flags(p_synth)
     return parser
 
 

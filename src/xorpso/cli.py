@@ -115,6 +115,8 @@ class RunConfig:
             )
         if self.workers < 1:
             raise CliError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise CliError(f"seed must be >= 0, got {self.seed}")
         if self.workers > 1 and self.optimizer == "oracle":
             raise CliError(
                 f"workers={self.workers} has no effect with optimizer='oracle', "
@@ -205,6 +207,10 @@ def _load_config_file(path: str) -> dict:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(
+            f"config file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from None
     if isinstance(obj, dict) and isinstance(obj.get("config"), dict):
@@ -458,9 +464,13 @@ def _parse_seeds(args: argparse.Namespace, config: RunConfig) -> list[int]:
     if raw is None:
         return [config.seed]
     try:
-        return [int(part.strip()) for part in raw.split(",") if part.strip()]
+        seeds = [int(part.strip()) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise CliError(f"--seeds must be comma-separated integers, got {raw!r}") from None
+    # each seed writes its own traces, so a repeat would overwrite one
+    if min(seeds, default=0) < 0 or len(set(seeds)) != len(seeds):
+        raise CliError(f"--seeds must be distinct and >= 0, got {raw!r}")
+    return seeds
 
 
 def main(argv=None) -> int:

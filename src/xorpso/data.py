@@ -78,6 +78,18 @@ class SynthProvenance:
     spec: SynthSpec
     informative_indices: tuple[int, ...]
 
+    def __post_init__(self):
+        indices, spec = self.informative_indices, self.spec
+        if (
+            len(set(indices)) != len(indices)
+            or len(indices) != spec.n_informative
+            or not all(0 <= i < spec.n_features for i in indices)
+        ):
+            raise DatasetError(
+                f"informative_indices {list(indices)} must be {spec.n_informative} "
+                f"distinct indices in [0, {spec.n_features})"
+            )
+
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
@@ -207,23 +219,31 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
     Parameters
     ----------
     path : str or Path
-        CSV file: UTF-8, header row, ``.`` decimal separator.
+        CSV file: UTF-8 (a byte-order mark is skipped), header row, ``.``
+        decimal separator.
     label_column : str
         Header name of the integer class-label column.
 
     Raises
     ------
     DatasetError
-        Missing file, absent label column, a non-numeric or non-finite cell
-        (the message names the offending row and column), a non-integer
-        label, fewer than two data rows, or a provenance sidecar that is
-        malformed or contradicts the file (sample or feature count, or an
-        informative index out of range).
+        Missing file, text that is not UTF-8, absent label column, a
+        non-numeric or non-finite cell (the message names the offending row
+        and column), a non-integer label, fewer than two data rows, or a
+        provenance sidecar that is malformed, contradicts itself (see
+        :class:`SynthProvenance`) or contradicts the file's sample or
+        feature count.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -288,13 +308,10 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
         except (ValueError, KeyError, TypeError) as exc:
             raise DatasetError(f"{sidecar}: malformed provenance sidecar: {exc!r}") from None
         spec = provenance.spec
-        if (spec.n_samples, spec.n_features) != (len(rows), len(feature_names)) or any(
-            not 0 <= i < len(feature_names) for i in provenance.informative_indices
-        ):
+        if (spec.n_samples, spec.n_features) != (len(rows), len(feature_names)):
             raise DatasetError(
                 f"{sidecar}: provenance sidecar contradicts {path.name}: it claims "
-                f"{spec.n_samples} samples, {spec.n_features} features and "
-                f"informative indices {list(provenance.informative_indices)}, "
+                f"{spec.n_samples} samples and {spec.n_features} features, "
                 f"the file has {len(rows)} samples and {len(feature_names)} features"
             )
     return FeatureDataset(

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: config resolution, outputs, and error paths."""
 
+import inspect
 import json
 import os
 import statistics
@@ -15,7 +16,9 @@ from xorpso import (
     generate_synthetic,
     load_dataset,
     read_trace,
+    run_seeded,
     save_dataset,
+    score_features,
     standardize_split,
     stratified_split,
 )
@@ -89,8 +92,17 @@ def test_run_config_round_trips_through_dict():
 
 
 def test_run_config_defaults_are_the_library_defaults():
-    assert RunConfig().swarm_config("xor") == PsoConfig()
-    assert RunConfig().swarm_config("baseline") == BaselineConfig()
+    config = RunConfig()
+    assert config.swarm_config("xor") == PsoConfig()
+    assert config.swarm_config("baseline") == BaselineConfig()
+    assert parse_synth("n=40,f=5,inf=2") == SynthSpec(40, 5, 2)
+    # the defaults RunConfig still writes out itself
+    run_defaults = inspect.signature(run_seeded).parameters
+    for name in ("seeded_fraction", "top_m", "workers"):
+        assert getattr(config, name) == run_defaults[name].default, name
+    assert config.bins == inspect.signature(score_features).parameters["bin_count"].default
+    label_default = inspect.signature(load_dataset).parameters["label_column"].default
+    assert config.label_column == label_default
 
 
 def test_run_config_rejects_unknown_keys():
@@ -178,6 +190,10 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
         # the oracle rejects the feature count only after the data is scored
         pytest.param(["select", "--optimizer", "oracle", "--synth", "n=50,f=25,inf=3"],
                      "20 features", id="oracle-too-wide"),
+        pytest.param(["select", "--seed", "-3"], "seed must be >= 0", id="negative-seed"),
+        # one trace per optimizer and seed, so a repeated seed would overwrite one
+        pytest.param(["compare", "--seeds", "1,1"], "distinct", id="repeated-seeds"),
+        pytest.param(["compare", "--seeds", "0,-1"], ">= 0", id="negative-seeds"),
     ],
 )
 def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, message):
@@ -186,6 +202,13 @@ def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, mes
     assert main([*argv, *synth, "--out", str(out)]) == 1
     assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_negative_env_seed_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("XORPSO_SEED", "-2")
+    assert main(["select", "--synth", SMALL, "--out", str(tmp_path / "out")]) == 1
+    assert "seed must be >= 0, got -2" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -398,9 +421,14 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
         '"informative_indices": [0]}',
         '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1}, '
         '"informative_indices": [7]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 2}, '
+        '"informative_indices": [1, 1]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1}, '
+        '"informative_indices": [0, 1]}',
     ],
     ids=["empty-object", "unknown-spec-key", "not-json",
-         "wrong-sample-count", "wrong-feature-count", "index-out-of-range"],
+         "wrong-sample-count", "wrong-feature-count", "index-out-of-range",
+         "repeated-index", "count-differs"],
 )
 def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sidecar):
     path = tmp_path / "d.csv"
@@ -412,6 +440,32 @@ def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sideca
     assert "d.provenance.json" in err
     assert "Traceback" not in err
     assert not (tmp_path / "mi").exists()
+
+
+def test_csv_may_start_with_a_byte_order_mark(tmp_path):
+    text = "label,f0,f1\n0,1,2\n1,2,3\n0,3,1\n1,4,4\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    for name in ("plain", "bom"):
+        data = str(tmp_path / f"{name}.csv")
+        assert main(["mi-report", "--data", data, "--out", str(tmp_path / name)]) == 0
+    mi = [(tmp_path / name / "mi.csv").read_bytes() for name in ("plain", "bom")]
+    assert mi[0] == mi[1]
+
+
+@pytest.mark.parametrize(
+    "flag,text",
+    [("--data", "caf\u00e9,label\n1,0\n2,1\n"), ("--config", '{"synth": "caf\u00e9"}')],
+    ids=["data", "config"],
+)
+def test_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, flag, text):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("latin-1"))
+    assert main(["select", flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    err = _one_error_line(capsys)
+    assert str(path) in err
+    assert "UTF-8" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_data_and_synth_are_mutually_exclusive(tmp_path, capsys):

@@ -7,7 +7,6 @@ from xorpso import (
     DatasetError,
     FeatureDataset,
     SplitDataset,
-    SynthProvenance,
     SynthSpec,
     generate_synthetic,
     load_dataset,
@@ -83,17 +82,6 @@ def test_synth_spec_validation():
 def test_synth_spec_round_trips_through_dict():
     spec = SynthSpec(50, 8, 3, class_separation=1.5, noise_std=0.5, seed=9)
     assert SynthSpec.from_dict(spec.to_dict()) == spec
-
-
-@pytest.mark.parametrize(
-    "n_informative,indices",
-    [(2, (1, 1)), (1, (0, 1)), (1, (4,)), (1, (-1,))],
-    ids=["repeated", "count-differs", "past-last-feature", "negative"],
-)
-def test_provenance_rejects_indices_its_spec_does_not_allow(n_informative, indices):
-    spec = SynthSpec(n_samples=4, n_features=4, n_informative=n_informative)
-    with pytest.raises(DatasetError, match="distinct indices in \\[0, 4\\)"):
-        SynthProvenance(spec=spec, informative_indices=indices)
 
 
 def test_generate_shapes_labels_and_provenance():

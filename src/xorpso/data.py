@@ -58,6 +58,9 @@ class SynthSpec:
                 f"n_informative must be in [1, n_features={self.n_features}], "
                 f"got {self.n_informative}"
             )
+        for name in ("class_separation", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise DatasetError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.class_separation > 0:
             raise DatasetError("class_separation must be positive")
         if self.noise_std < 0:
@@ -254,6 +257,11 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
             raise DatasetError(
                 f"{path}: label column {label_column!r} not in header {header}"
             )
+        if header.count(label_column) > 1:
+            raise DatasetError(
+                f"{path}: label column {label_column!r} appears "
+                f"{header.count(label_column)} times in the header"
+            )
         label_pos = header.index(label_column)
         feature_names = [h for h in header if h != label_column]
 
@@ -360,11 +368,18 @@ def generate_synthetic(spec: SynthSpec) -> FeatureDataset:
     labels = np.concatenate(
         [np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)]
     )
-    features = spec.noise_std * rng.standard_normal(
-        (spec.n_samples, spec.n_features)
-    )
     shift = np.where(labels == 1, spec.class_separation / 2.0, -spec.class_separation / 2.0)
-    features[:, informative] += shift[:, None]
+    try:
+        with np.errstate(over="raise"):
+            features = spec.noise_std * rng.standard_normal(
+                (spec.n_samples, spec.n_features)
+            )
+            features[:, informative] += shift[:, None]
+    except FloatingPointError:
+        raise DatasetError(
+            f"synthetic spec noise_std={spec.noise_std}, class_separation="
+            f"{spec.class_separation} overflows float64 feature values"
+        ) from None
     return FeatureDataset(
         features=features,
         labels=labels,

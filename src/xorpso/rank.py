@@ -74,17 +74,12 @@ def mutual_information(x, y) -> float:
     _, yi = np.unique(y, return_inverse=True)
     nx = int(xi.max()) + 1
     ny = int(yi.max()) + 1
-    joint = np.zeros((nx, ny), dtype=np.float64)
-    np.add.at(joint, (xi, yi), 1.0)
-    joint /= x.size
+    joint = np.bincount(xi * ny + yi, minlength=nx * ny).reshape(nx, ny) / x.size
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
-    nz = joint > 0
-    terms = joint[nz] * (
-        np.log(joint[nz])
-        - np.log(np.broadcast_to(px[:, None], joint.shape)[nz])
-        - np.log(np.broadcast_to(py[None, :], joint.shape)[nz])
-    )
+    i, j = np.nonzero(joint)
+    p = joint[i, j]
+    terms = p * (np.log(p) - np.log(px[i]) - np.log(py[j]))
     return max(0.0, float(terms.sum()))
 
 
@@ -118,8 +113,9 @@ def seed_masks(
     top_m : int, optional
         Defaults to a quarter of the feature count (at least 1).
     rng : numpy Generator
-        Draw source, required; one length-n uniform block is consumed per
-        mask, in emission order.
+        Draw source, required; one ``(population, n)`` uniform block is
+        consumed, row i for mask i, which is the same stream as one
+        length-n draw per mask in emission order.
     """
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
@@ -131,19 +127,9 @@ def seed_masks(
     if not 1 <= top_m <= n:
         raise ValueError(f"top_m must be in [1, {n}], got {top_m}")
 
-    top = scores.ranking()[:top_m]
-    best_bit = int(np.argmax(scores.scores))
     n_seeded = int(population * seeded_fraction + 0.5)
-
-    masks: list[np.ndarray] = []
-    for i in range(population):
-        u = rng.random(n)
-        if i < n_seeded:
-            bits = (u < 0.1).astype(np.int8)
-            bits[top] = 1
-        else:
-            bits = (u < 0.5).astype(np.int8)
-        if bits.sum() == 0:
-            bits[best_bit] = 1
-        masks.append(bits)
-    return masks
+    bit_rate = np.where(np.arange(population) < n_seeded, 0.1, 0.5)
+    masks = (rng.random((population, n)) < bit_rate[:, None]).astype(np.int8)
+    masks[:n_seeded, scores.ranking()[:top_m]] = 1
+    masks[~masks.any(axis=1), np.argmax(scores.scores)] = 1
+    return list(masks)

@@ -17,7 +17,7 @@ raw validation accuracy; at or above it, the score becomes
 rest and then compete on sparsity alone.
 
 The swarm is held as P×n arrays (one row per particle), so each move rule
-is a few array expressions that act on one row or on the whole swarm.
+is a few array expressions that act on a block of rows.
 
 Determinism: a run is driven by one caller-supplied generator with a fixed
 draw order: one ``rng.random((P, n, c))`` block at the start of every
@@ -236,8 +236,8 @@ def xor_velocity_update(
     with R1 ~ Uniform(-1, 1) and R2 ~ Uniform(0, 1) drawn independently per
     bit, and the new velocity bit is 1 exactly where ``raw_j >= 0.5``.
 
-    ``x``, ``v`` and ``pbest`` are one particle's length-n rows or the
-    swarm's P×n matrices; ``gbest`` has length n.  ``u`` holds the
+    ``x``, ``v`` and ``pbest`` are one particle's length-n rows or a
+    block of B×n rows; ``gbest`` has length n.  ``u`` holds the
     uniforms, shape ``x.shape + (2,)``: the first column maps to
     ``R1 = 2u - 1`` and the second is R2.
     """
@@ -324,8 +324,14 @@ def _run_swarm(
     """Shared driver: init, iterate, update bests, emit one record per iteration.
 
     ``move(x, v, pbest, gbest, w, u)`` returns the next velocity and
-    position of one row or of the whole swarm; ``u`` has ``draws``
-    uniform columns per bit.
+    position of a block of rows; ``u`` has ``draws`` uniform columns per
+    bit.  The update mode is a block size: each iteration moves a block of
+    rows against the current global best, then evaluates and commits them
+    in row order, block after block.  Synchronous mode is one block of P
+    rows, so the global best is frozen for the whole iteration and the
+    result does not depend on the worker count; asynchronous mode is P
+    blocks of one row, so a discovery by particle i moves the global best
+    that particle i+1 sees.
     """
     n = split.feature_count
     position = _validate_initial_masks(initial_masks, config, n)
@@ -336,19 +342,10 @@ def _run_swarm(
             f"update_mode={config.update_mode!r} evaluates one particle at a time"
         )
     population = config.population
+    block = population if synchronous else 1
 
-    pool = None
-    if synchronous and workers > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-
-        def evaluate_many(masks):
-            if pool is None:
-                return [evaluate_particle(m, split, config) for m in masks]
-            return list(pool.map(lambda m: evaluate_particle(m, split, config), masks))
-
-        # the initial population is evaluated up front so the first velocity
-        # update has a defined global best
         state = SwarmState(
             position=position,
             velocity=np.zeros((population, n), dtype=velocity_dtype),
@@ -359,33 +356,32 @@ def _run_swarm(
             gbest_fitness=-np.inf,
             gbest_accuracy=0.0,
         )
-        for i, evaluation in enumerate(evaluate_many(position)):
-            state.commit(i, evaluation)
+
+        def evaluate(rows: slice) -> None:
+            """Evaluate the current positions of ``rows`` and commit them in row order."""
+            indices = range(population)[rows]
+            evaluations = (map if pool is None else pool.map)(
+                lambda i: evaluate_particle(state.position[i], split, config), indices
+            )
+            for i, evaluation in zip(indices, evaluations):
+                state.commit(i, evaluation)
+
+        # the initial population is evaluated up front so the first velocity
+        # update has a defined global best
+        evaluate(slice(0, population))
 
         trace: list[IterationRecord] = []
         for t in range(config.iterations):
             started = time.perf_counter()
             w = inertia_at(t, config)
             u = rng.random((population, n, draws))
-            if synchronous:
-                # global best frozen for the whole iteration; evaluations come
-                # back in row order, so the outcome is independent of the
-                # worker count
-                state.velocity, state.position = move(
-                    state.position, state.velocity, state.pbest_position,
-                    state.gbest_position, w, u,
+            for start in range(0, population, block):
+                rows = slice(start, start + block)
+                state.velocity[rows], state.position[rows] = move(
+                    state.position[rows], state.velocity[rows],
+                    state.pbest_position[rows], state.gbest_position, w, u[rows],
                 )
-                for i, evaluation in enumerate(evaluate_many(state.position)):
-                    state.commit(i, evaluation)
-            else:
-                # literal loop order: a discovery by particle i moves the
-                # global best seen by particle i+1 within the same iteration
-                for i in range(population):
-                    state.velocity[i], state.position[i] = move(
-                        state.position[i], state.velocity[i],
-                        state.pbest_position[i], state.gbest_position, w, u[i],
-                    )
-                    state.commit(i, evaluate_particle(state.position[i], split, config))
+                evaluate(rows)
             record = IterationRecord(
                 iteration=t,
                 gbest_fitness=state.gbest_fitness,
@@ -500,25 +496,13 @@ def brute_force_best(
             f"features, got {n}"
         )
     bit_positions = np.arange(n)
-    best_mask = None
-    best_fit = -np.inf
-    best_sel = n + 1
+    best_key, best_mask, best_fit = (np.inf,), None, -np.inf
     for m in range(1, 1 << n):
         mask = ((m >> bit_positions) & 1).astype(np.int8)
         _, fit = evaluate_particle(mask, split, config)
-        sel = selected_count(mask)
-        if fit > best_fit:
-            better = True
-        elif fit == best_fit:
-            better = sel < best_sel or (
-                sel == best_sel and tuple(mask) < tuple(best_mask)
-            )
-        else:
-            better = False
-        if better:
-            best_mask = mask
-            best_fit = fit
-            best_sel = sel
+        key = (-fit, selected_count(mask), tuple(mask))
+        if key < best_key:
+            best_key, best_mask, best_fit = key, mask, fit
     return best_mask, float(best_fit)
 
 

@@ -194,6 +194,16 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
         # one trace per optimizer and seed, so a repeated seed would overwrite one
         pytest.param(["compare", "--seeds", "1,1"], "distinct", id="repeated-seeds"),
         pytest.param(["compare", "--seeds", "0,-1"], ">= 0", id="negative-seeds"),
+        pytest.param(["synth-gen", "--synth", f"{SMALL},noise=nan"],
+                     "noise_std must be finite", id="synth-noise-nan"),
+        pytest.param(["synth-gen", "--synth", f"{SMALL},sep=inf"],
+                     "class_separation must be finite", id="synth-sep-inf"),
+        pytest.param(["synth-gen", "--synth", f"{SMALL},sep=1e309"],
+                     "class_separation must be finite", id="synth-sep-1e309"),
+        # the features overflow float64: one error naming the spec, no numpy warning
+        pytest.param(["synth-gen", "--synth", f"{SMALL},noise=1e308"],
+                     "noise_std=1e+308", id="synth-overflow",
+                     marks=pytest.mark.filterwarnings("error")),
     ],
 )
 def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, message):

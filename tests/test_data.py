@@ -1,5 +1,7 @@
 """Dataset construction, synthetic generation, CSV round trips, and splitting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ def test_synth_spec_validation():
         SynthSpec(n_samples=10, n_features=4, n_informative=1, class_separation=0.0)
     with pytest.raises(DatasetError):
         SynthSpec(n_samples=10, n_features=4, n_informative=1, noise_std=-1.0)
+
+
+@pytest.mark.parametrize("field", ["class_separation", "noise_std"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_synth_spec_rejects_non_finite_and_names_field(field, value):
+    with pytest.raises(DatasetError, match=f"{field} must be finite"):
+        SynthSpec(n_samples=10, n_features=4, n_informative=1, **{field: value})
+
+
+@pytest.mark.filterwarnings("error")
+def test_generate_overflow_is_one_error_naming_the_spec():
+    spec = SynthSpec(n_samples=10, n_features=4, n_informative=1, noise_std=1e308)
+    with pytest.raises(DatasetError, match="noise_std=1e[+]308, class_separation=2.0"):
+        generate_synthetic(spec)
 
 
 def test_synth_spec_round_trips_through_dict():
@@ -208,6 +224,13 @@ def test_load_missing_label_column(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("a,b\n1,2\n3,4\n")
     with pytest.raises(DatasetError, match="'label'"):
+        load_dataset(path)
+
+
+def test_load_rejects_repeated_label_column(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,label,label\n1,0,0\n2,1,1\n")
+    with pytest.raises(DatasetError, match="'label' appears 2 times"):
         load_dataset(path)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorpso import (
     FeatureDataset,
@@ -239,3 +241,55 @@ def test_seed_masks_requires_a_generator():
     # no unseeded fallback: two identical calls must never differ
     with pytest.raises(TypeError, match="rng"):
         seed_masks(_scores([0.5, 0.1]), population=4)
+
+
+def _seed_masks_per_mask(scores, population, seeded_fraction, top_m, rng):
+    """Reference: one length-n draw per mask, seeded masks first."""
+    n = scores.feature_count
+    if top_m is None:
+        top_m = max(1, n // 4)
+    top = scores.ranking()[:top_m]
+    best_bit = int(np.argmax(scores.scores))
+    n_seeded = int(population * seeded_fraction + 0.5)
+    masks = []
+    for i in range(population):
+        u = rng.random(n)
+        if i < n_seeded:
+            bits = (u < 0.1).astype(np.int8)
+            bits[top] = 1
+        else:
+            bits = (u < 0.5).astype(np.int8)
+        if bits.sum() == 0:
+            bits[best_bit] = 1
+        masks.append(bits)
+    return masks
+
+
+@st.composite
+def _seeding_cases(draw):
+    # narrow masks often come out empty, so the repair is exercised
+    n = draw(st.integers(1, 3) | st.integers(1, 30))
+    # few distinct values, so scores tie and may all be zero
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 2.0]),
+                           min_size=n, max_size=n))
+    return (
+        _scores(values),
+        draw(st.integers(1, 40)),
+        draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
+        draw(st.one_of(st.none(), st.integers(1, n))),
+        draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seeding_cases())
+def test_seed_masks_equals_one_draw_per_mask(case):
+    scores, population, fraction, top_m, seed = case
+    got = seed_masks(scores, population, fraction, top_m,
+                     rng=np.random.default_rng(seed))
+    want = _seed_masks_per_mask(scores, population, fraction, top_m,
+                                np.random.default_rng(seed))
+    assert len(got) == population
+    for g, w in zip(got, want):
+        assert g.dtype == np.int8 and g.shape == w.shape
+        assert np.array_equal(g, w)

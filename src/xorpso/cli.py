@@ -75,12 +75,12 @@ class CliError(ValueError):
 class RunConfig:
     """Flat, JSON-serializable record of everything that defines a run.
 
-    Field names match the CLI flag names (dashes as underscores) so flag
-    values, config files, and the ``result.json`` echo merge mechanically.
-    ``c1``/``c2``/``v_clamp``/``w_min`` have no dedicated flags and are
-    settable through a config file only.  Swarm and k-NN defaults are the
+    Each field is one ``select`` flag (dashes as underscores) so flag
+    values, config files, and the ``result.json`` echo merge mechanically;
+    a config key with no flag is rejected.  Swarm and k-NN defaults are the
     library's: ``threshold`` is ``accuracy_threshold`` and ``knn_k`` is
-    ``KnnConfig.k``.
+    ``KnnConfig.k``.  The baseline's coefficients and velocity clamp are
+    :class:`BaselineConfig`'s defaults.
     """
 
     data: str | None = None
@@ -90,9 +90,6 @@ class RunConfig:
     population: int = PsoConfig.population
     iterations: int = PsoConfig.iterations
     w_initial: float = PsoConfig.w_initial
-    w_decay: float = PsoConfig.w_decay
-    w_period: int = PsoConfig.w_period
-    w_min: float = PsoConfig.w_min
     threshold: float = PsoConfig.accuracy_threshold
     knn_k: int = KnnConfig.k
     val_fraction: float = 0.2
@@ -103,9 +100,6 @@ class RunConfig:
     workers: int = 1
     out: str = "."
     update_mode: str = PsoConfig.update_mode
-    c1: float = BaselineConfig.c1
-    c2: float = BaselineConfig.c2
-    v_clamp: float = BaselineConfig.v_clamp
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -410,8 +404,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--population", type=int, help="swarm size")
     parser.add_argument("--iterations", type=int, help="iteration count")
     parser.add_argument("--w-initial", type=float, help="starting inertia weight")
-    parser.add_argument("--w-decay", type=float, help="inertia drop per period")
-    parser.add_argument("--w-period", type=int, help="iterations per inertia step")
     parser.add_argument("--threshold", type=float, help="accuracy threshold")
     parser.add_argument("--knn-k", type=int, help="k for the k-NN evaluator (odd)")
     parser.add_argument("--val-fraction", type=float, help="validation fraction")

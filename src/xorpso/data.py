@@ -451,18 +451,26 @@ def standardize_split(split: SplitDataset) -> SplitDataset:
     The train partition's per-column mean and standard deviation are applied
     to both partitions; zero-variance columns are centered and left at scale
     one.  Distance-based classification needs comparable column scales.
+    A column whose train mean, train standard deviation or any standardized
+    value overflows float64 is a :class:`DatasetError`.
     """
-    mean = split.train.features.mean(axis=0)
-    std = split.train.features.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-
-    def transform(ds: FeatureDataset) -> FeatureDataset:
-        return FeatureDataset(
-            features=(ds.features - mean) / std,
-            labels=ds.labels,
-            provenance=ds.provenance,
+    parts = (split.train, split.validation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = split.train.features.mean(axis=0)
+        std = split.train.features.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        scaled = [(ds.features - mean) / std for ds in parts]
+    finite = np.isfinite(mean) & np.isfinite(std)
+    for values in scaled:
+        finite &= np.isfinite(values).all(axis=0)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise DatasetError(
+            f"cannot standardize feature column {bad[0]}: its train mean, train "
+            "standard deviation or a standardized value overflows float64"
         )
-
-    return SplitDataset(
-        train=transform(split.train), validation=transform(split.validation)
+    train, validation = (
+        FeatureDataset(features=values, labels=ds.labels, provenance=ds.provenance)
+        for values, ds in zip(scaled, parts)
     )
+    return SplitDataset(train=train, validation=validation)

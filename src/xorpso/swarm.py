@@ -70,14 +70,11 @@ def sigmoid(v):
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm size, schedule, fitness threshold, and evaluation settings."""
+    """Swarm size, starting inertia, fitness threshold, and evaluation settings."""
 
     population: int = 100
     iterations: int = 100
     w_initial: float = 1.0
-    w_decay: float = 0.05
-    w_period: int = 5
-    w_min: float = 0.0
     accuracy_threshold: float = 0.98
     knn: KnnConfig = field(default_factory=KnnConfig)
     update_mode: str = ASYNCHRONOUS
@@ -89,12 +86,6 @@ class PsoConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.w_initial <= 1.0:
             raise ValueError(f"w_initial must be in (0, 1], got {self.w_initial}")
-        if self.w_decay < 0:
-            raise ValueError(f"w_decay must be >= 0, got {self.w_decay}")
-        if self.w_period < 1:
-            raise ValueError(f"w_period must be >= 1, got {self.w_period}")
-        if self.w_min < 0:
-            raise ValueError(f"w_min must be >= 0, got {self.w_min}")
         if not 0.0 < self.accuracy_threshold <= 1.0:
             raise ValueError(
                 f"accuracy_threshold must be in (0, 1], got {self.accuracy_threshold}"
@@ -178,16 +169,19 @@ class IterationRecord:
 TRACE_FIELDS = tuple(f.name for f in fields(IterationRecord))
 
 
-def inertia_at(iteration: int, config: PsoConfig) -> float:
-    """Inertia weight for a 0-based iteration: stepwise decay, clamped below.
+W_DECAY = 0.05
+W_PERIOD = 5
 
-    ``max(w_min, w_initial - w_decay * floor(iteration / w_period))``; the
-    defaults start at 1.0 and lose 0.05 every 5 iterations.
+
+def inertia_at(iteration: int, config: PsoConfig) -> float:
+    """Inertia weight for a 0-based iteration: stepwise decay, floored at 0.
+
+    ``max(0, w_initial - W_DECAY * floor(iteration / W_PERIOD))``: the weight
+    starts at ``config.w_initial`` and loses 0.05 every 5 iterations.
     """
     if iteration < 0:
         raise ValueError(f"iteration must be >= 0, got {iteration}")
-    steps = iteration // config.w_period
-    return max(config.w_min, config.w_initial - config.w_decay * steps)
+    return max(0.0, config.w_initial - W_DECAY * (iteration // W_PERIOD))
 
 
 def fitness(accuracy: float, selected: int, total: int, threshold: float) -> float:
@@ -299,14 +293,15 @@ def _validate_initial_masks(initial_masks, config: PsoConfig, n_features: int):
         )
     positions = []
     for i, mask in enumerate(initial_masks):
-        arr = np.array(mask, dtype=np.int8)
+        arr = np.asarray(mask)
         if arr.shape != (n_features,):
             raise ValueError(
                 f"initial mask {i} has shape {arr.shape}, expected ({n_features},)"
             )
+        # checked before the cast, which would truncate 0.5 to 0 and fail on NaN
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError(f"initial mask {i} has bits outside {{0, 1}}")
-        positions.append(arr)
+        positions.append(arr.astype(np.int8))
     return np.array(positions)
 
 

@@ -110,6 +110,12 @@ def test_run_config_rejects_unknown_keys():
         RunConfig.from_dict({"typo": 1})
 
 
+def test_every_run_config_field_is_a_select_flag():
+    # a config key with no flag would be a setting only a file can reach
+    args = vars(build_parser().parse_args(["select"]))
+    assert set(RunConfig().to_dict()) == set(args) - {"command", "config"}
+
+
 def test_run_config_rejects_bad_optimizer_and_workers():
     with pytest.raises(CliError, match="optimizer"):
         RunConfig(optimizer="annealing")
@@ -203,6 +209,13 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
         # the features overflow float64: one error naming the spec, no numpy warning
         pytest.param(["synth-gen", "--synth", f"{SMALL},noise=1e308"],
                      "noise_std=1e+308", id="synth-overflow",
+                     marks=pytest.mark.filterwarnings("error")),
+        # the data is finite but its train std (or mean and std) overflows
+        pytest.param(["select", "--synth", "n=40,f=5,inf=2,noise=1e200"],
+                     "cannot standardize feature column", id="std-overflow",
+                     marks=pytest.mark.filterwarnings("error")),
+        pytest.param(["select", "--synth", "n=40,f=5,inf=2,noise=1e300,sep=1e308"],
+                     "cannot standardize feature column", id="mean-overflow",
                      marks=pytest.mark.filterwarnings("error")),
     ],
 )
@@ -431,6 +444,8 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
         '"informative_indices": [0]}',
         '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1}, '
         '"informative_indices": [7]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1}, '
+        '"informative_indices": [-1]}',
         '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 2}, '
         '"informative_indices": [1, 1]}',
         '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1}, '
@@ -438,7 +453,7 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
     ],
     ids=["empty-object", "unknown-spec-key", "not-json",
          "wrong-sample-count", "wrong-feature-count", "index-out-of-range",
-         "repeated-index", "count-differs"],
+         "negative-index", "repeated-index", "count-differs"],
 )
 def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sidecar):
     path = tmp_path / "d.csv"

@@ -145,15 +145,15 @@ CLI_GOLDEN = {
     "synth-gen/synth.csv": "49f2a8c6b1219044867ffdebadf9edce20c2bc84bb76881926a8fce4333ea0f2",
     "synth-gen/synth.provenance.json": "447f512ff154b931777778dc84600596a13cb777f4883bf186a30a978afba848",
     "select-xor/stdout": "5dc2ab30df700cf3bec172e5d6e602ab6b7b442d4c7840dceb13f92b2d2ad89e",
-    "select-xor/result.json": "02f7adac8a3753ae1648aba10b1ff703375b7f0daeb95d2d0bc71ee37a51ccbe",
+    "select-xor/result.json": "725fdca3dce6280af6db58188c4761c4dbb1c96d06715c701077cb1feffacd1f",
     "select-xor/selected.csv": "9ff01fce8cef9b00b2c84ebea1be532e6459dd382b6554df015d79458781b0fd",
     "select-xor/trace.jsonl": "1e7ffb3ef5d5ec3f3973191be5af49d9867d23736e775ed8b4fc35550b713dc8",
     "select-baseline/stdout": "10ca2b2ca2497c47573967c7782fb98acfaeeef542ffff14435f7d53aee7ddfd",
-    "select-baseline/result.json": "1f110f5fc8f25dfda993f15fb194b8f39fcd7080c5066e045398429191e3d0ad",
+    "select-baseline/result.json": "45c6459ca724a5a68c9631365f7a1b544d80716e74eeaed4fc6d9653682e1d2f",
     "select-baseline/selected.csv": "566eee5064bdadae82d16f7c7d98702a3d5b379cc9a240f8fc6c92f69a4c3221",
     "select-baseline/trace.jsonl": "524c9798c8ae061eaeda3e2cdd44ef36746470247016fb697e7754ad8fc02be7",
     "select-oracle/stdout": "621845c111880bef3b64d0a5aae72b5df12010f80d89c03342cc0a7d4236bdac",
-    "select-oracle/result.json": "9c001cf8470f173b50ce30b696d53748dd59c0e38012dd092247516c4e4882dd",
+    "select-oracle/result.json": "7908cb8093ccb907efcb8af26e57d9ec6c6b1f78f4628a24e74084b070aae6a8",
     "select-oracle/selected.csv": "5c206d7326edb67694e76bb586df89f00b0324afff56ed739df7048698f0c77d",
     "select-oracle/trace.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "compare/stdout": "4a892809a58ba585489840d3116d5a98c53acc726dc2cbdfc8905700f2062158",

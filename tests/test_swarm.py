@@ -96,11 +96,11 @@ def test_inertia_defaults_at_key_iterations():
 
 
 def test_inertia_clamps_at_floor():
-    config = PsoConfig(w_initial=0.3, w_decay=0.1, w_period=2, w_min=0.05)
+    config = PsoConfig(w_initial=0.3)
     assert inertia_at(0, config) == 0.3
-    assert abs(inertia_at(4, config) - 0.1) < 1e-12
-    assert inertia_at(6, config) == 0.05
-    assert inertia_at(1000, config) == 0.05
+    assert abs(inertia_at(10, config) - 0.2) < 1e-12
+    assert inertia_at(30, config) == 0.0
+    assert inertia_at(1000, config) == 0.0
 
 
 def test_inertia_rejects_negative_iteration():
@@ -177,8 +177,6 @@ def test_pso_config_validation():
     with pytest.raises(ValueError):
         PsoConfig(w_initial=1.5)
     with pytest.raises(ValueError):
-        PsoConfig(w_period=0)
-    with pytest.raises(ValueError):
         PsoConfig(accuracy_threshold=0.0)
     with pytest.raises(ValueError):
         PsoConfig(update_mode="eventual")
@@ -196,13 +194,10 @@ def test_initial_mask_validation(tiny_split):
             [np.array([1, 0, 1], dtype=np.int8), np.array([1, 0], dtype=np.int8)],
             rng=rng,
         )
-    with pytest.raises(ValueError, match="bits"):
-        run_xor_pso(
-            tiny_split,
-            config,
-            [np.array([2, 0], dtype=np.int8), np.array([1, 0], dtype=np.int8)],
-            rng=rng,
-        )
+    # checked before the int8 cast, which would read 0.5 and 1.9 as bits
+    for bad in ([2, 0], [0.5, 1], [1.9, 0], [float("nan"), 1]):
+        with pytest.raises(ValueError, match="initial mask 0 has bits"):
+            run_xor_pso(tiny_split, config, [bad, [1, 0]], rng=rng)
 
 
 def test_generator_is_required(tiny_split):

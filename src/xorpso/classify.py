@@ -8,6 +8,7 @@ are bit-for-bit identical.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,9 @@ def knn_predict(
         )
     train = split.train.features[:, selected]
     valid = split.validation.features[:, selected]
+    dist = _scratch((valid.shape[0], train.shape[0]))[0]
     # squared Euclidean keeps the same neighbor ordering and skips the sqrt
-    dist = cdist(valid, train, metric="sqeuclidean")
+    cdist(valid, train, metric="sqeuclidean", out=dist)
     votes = split.train.labels[nearest_rows(dist, config.k)]
     # votes are counted per present class, so no cost depends on label
     # values; argmax takes the first maximum, so ties go to the lower class
@@ -81,18 +83,46 @@ def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 
     Equal distances prefer the lower column index.  Within a row the
     columns come in ascending index order, not by distance.  The selection
-    is partial: ``np.partition`` finds each row's k-th smallest distance,
-    every strictly nearer column is taken, and the lowest-index columns at
-    exactly that distance fill the remaining places.  Entries must not be
-    NaN; ``inf`` ties like any other value.
+    is partial: an in-place partition of a copy finds each row's k-th
+    smallest distance, and every column at or below it is chosen.  A row
+    with exactly k such columns is done.  Only the rows with more, those
+    with a tie at the k-th distance, are filled again: every strictly
+    nearer column, then the lowest-index columns at exactly that distance
+    for the remaining places.  Entries must not be NaN; ``inf`` ties like
+    any other value.
     """
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    nearer = dist < kth
-    tied = dist == kth
-    room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
-    chosen = nearer | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
+    _, part, chosen = _scratch(dist.shape)
+    np.copyto(part, dist)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1 : k]
+    np.less_equal(dist, kth, out=chosen)
+    tie_rows = np.flatnonzero(np.count_nonzero(chosen, axis=1) != k)
+    if tie_rows.size:
+        rows, kth = dist[tie_rows], kth[tie_rows]
+        nearer = rows < kth
+        tied = rows == kth
+        room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
+        chosen[tie_rows] = nearer | (
+            tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
     # every row holds exactly k chosen columns, so row-major flat indices reshape
     return np.flatnonzero(chosen).reshape(-1, k) % dist.shape[1]
+
+
+_local = threading.local()
+
+
+def _scratch(shape: tuple[int, int]):
+    """This thread's distance, partition and chosen matrices of ``shape``.
+
+    Reused from call to call while the shape holds, so an evaluation
+    writes into pages it already owns (17 B per entry).  Each thread has
+    its own, so pool threads never share one; none may escape a call.
+    """
+    buffers = getattr(_local, "buffers", None)
+    if buffers is None or buffers[0].shape != shape:
+        buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        _local.buffers = buffers
+    return buffers
 
 
 def knn_accuracy(

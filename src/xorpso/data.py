@@ -14,6 +14,7 @@ import math
 import os
 import secrets
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +164,10 @@ class FeatureDataset:
     def feature_count(self) -> int:
         return self.features.shape[1]
 
-    @property
+    @cached_property
     def classes(self) -> np.ndarray:
-        """Distinct label values, ascending."""
-        return np.unique(self.labels)
+        """Distinct label values, ascending and read-only; worked out once."""
+        return _frozen_array(np.unique(self.labels), np.int64)
 
 
 @dataclass(frozen=True)

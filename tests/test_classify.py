@@ -1,5 +1,9 @@
 """k-NN mask evaluation against hand computations and reference implementations."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,3 +225,101 @@ def test_partial_selection_matches_stable_sort(instance):
     assert np.array_equal(chosen, np.sort(argsort_rows(dist, k), axis=1))
     got = knn_predict(split, mask, KnnConfig(k=k))
     assert list(got) == argsort_predict(split, mask, k)
+
+
+@st.composite
+def _dist_matrices(draw):
+    """A distance matrix with many exact ties, and a k it has room for."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    k = draw(st.integers(1, cols))
+    values = draw(st.sampled_from([INTEGER_VALUES, [0.0, 1.0], [0.0, 1e300, np.inf]]))
+    dist = draw(st.lists(st.lists(st.sampled_from(values), min_size=cols,
+                                  max_size=cols), min_size=rows, max_size=rows))
+    return np.array(dist), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_dist_matrices(), _tie_heavy_instances()),
+                min_size=2, max_size=6))
+def test_calls_in_sequence_each_match_the_oracle(calls):
+    # shapes repeat and change from call to call, so a call may find work
+    # memory that an earlier call of the same or another shape left filled
+    for call in calls:
+        if isinstance(call[0], SplitDataset):
+            split, mask, k = call
+            got = knn_predict(split, mask, KnnConfig(k=k))
+            assert list(got) == argsort_predict(split, mask, k)
+        else:
+            dist, k = call
+            assert np.array_equal(nearest_rows(dist, k),
+                                  np.sort(argsort_rows(dist, k), axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tie_fill_on_some_rows_only_matches_stable_sort(data):
+    # distinct distances in every row, then a tie across the k-th place
+    # planted in a strict, non-empty subset of the rows
+    n_rows = data.draw(st.integers(2, 8))
+    n_cols = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(1, n_cols - 1))
+    dist = np.array([data.draw(st.permutations(range(n_cols))) for _ in range(n_rows)],
+                    dtype=np.float64)
+    tie_rows = data.draw(st.sets(st.integers(0, n_rows - 1), min_size=1,
+                                 max_size=n_rows - 1))
+    for r in tie_rows:
+        # the rank k-1 column and one beyond it, chosen at random, tie
+        order = np.argsort(dist[r])
+        beyond = data.draw(st.integers(k, n_cols - 1))
+        dist[r, order[beyond]] = dist[r, order[k - 1]]
+    assert np.array_equal(nearest_rows(dist, k), np.sort(argsort_rows(dist, k), axis=1))
+
+
+def test_threads_evaluating_at_once_match_sequential_results(synth_split):
+    # a split with tall_sync_compare's 160x640 distance matrix
+    split = synth_split(n_samples=800, n_features=32, n_informative=6,
+                        data_seed=11, split_seed=3, class_separation=1.0)
+    assert (split.validation.sample_count, split.train.sample_count) == (160, 640)
+    rng = np.random.default_rng(0)
+    masks = [(rng.random(32) < 0.5).astype(np.int8) for _ in range(2)]
+    config = KnnConfig(k=5)
+    want = [knn_predict(split, mask, config) for mask in masks]
+    rounds = 20
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def work(t):
+        start.wait(timeout=30)
+        for _ in range(rounds):
+            got[t].append(knn_predict(split, masks[t], config))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in range(2):
+        assert len(got[t]) == rounds
+        assert all(np.array_equal(preds, want[t]) for preds in got[t])
+
+
+def test_warm_evaluation_allocates_less_than_one_distance_matrix(synth_split):
+    split = synth_split(n_samples=800, n_features=32, n_informative=6,
+                        data_seed=11, split_seed=3, class_separation=1.0)
+    mask = np.zeros(32, dtype=np.int8)
+    mask[::2] = 1
+    config = KnnConfig(k=5)
+    knn_accuracy(split, mask, config)
+    tracemalloc.start()
+    try:
+        knn_accuracy(split, mask, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 640 * 8

@@ -41,6 +41,14 @@ def test_dataset_arrays_are_frozen():
         ds.labels[0] = 99
 
 
+def test_dataset_classes_are_ascending_unique_and_read_only():
+    ds = FeatureDataset(features=np.zeros((5, 1)), labels=[7, 0, 7, 3, 0])
+    assert list(ds.classes) == [0, 3, 7]
+    assert ds.classes is ds.classes
+    with pytest.raises(ValueError):
+        ds.classes[0] = 99
+
+
 def test_dataset_rejects_label_length_mismatch():
     with pytest.raises(DatasetError, match="does not match"):
         FeatureDataset(features=[[0.0], [1.0]], labels=[0, 1, 0])

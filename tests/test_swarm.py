@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorpso import (
     BaselineConfig,
@@ -13,10 +15,12 @@ from xorpso import (
     KnnConfig,
     PsoConfig,
     SplitDataset,
+    SynthSpec,
     TraceWriter,
     brute_force_best,
     evaluate_particle,
     fitness,
+    generate_synthetic,
     inertia_at,
     knn_accuracy,
     position_update,
@@ -28,6 +32,8 @@ from xorpso import (
     seed_masks,
     selected_count,
     selected_indices,
+    standardize_split,
+    stratified_split,
     xor_velocity_update,
 )
 from xorpso.swarm import TRACE_FIELDS
@@ -268,6 +274,52 @@ def test_run_invariants_and_trace_consistency(synth_split, mode):
     final_acc, final_fit = evaluate_particle(best, split, config)
     assert final_fit == trace[-1].gbest_fitness
     assert final_acc == trace[-1].gbest_accuracy
+
+
+@st.composite
+def _small_runs(draw, config_cls, mode):
+    """A small split, config and starting masks, some of them possibly empty."""
+    n_features = draw(st.integers(2, 6))
+    spec = SynthSpec(n_samples=draw(st.integers(20, 40)), n_features=n_features,
+                     n_informative=draw(st.integers(1, n_features)),
+                     seed=draw(st.integers(0, 2**16)))
+    split = standardize_split(
+        stratified_split(generate_synthetic(spec), 0.25, draw(st.integers(0, 2**16))))
+    population = draw(st.integers(1, 5))
+    config = config_cls(
+        population=population, iterations=draw(st.integers(1, 6)),
+        accuracy_threshold=draw(st.sampled_from([0.01, 0.7, 1.0])),
+        knn=KnnConfig(k=draw(st.sampled_from([1, 3]))),
+        update_mode=mode,
+    )
+    masks = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n_features, max_size=n_features),
+        min_size=population, max_size=population))
+    return split, config, masks, draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+@pytest.mark.parametrize("optimizer", ["xor", "baseline"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_positions_and_xor_velocities_stay_binary_and_gbest_never_worsens(
+        optimizer, mode, data):
+    baseline = optimizer == "baseline"
+    split, config, masks, seed = data.draw(
+        _small_runs(BaselineConfig if baseline else PsoConfig, mode))
+    bests = []
+
+    def check(record, state):
+        assert set(np.unique(state.position)) <= {0, 1}
+        if not baseline:
+            assert set(np.unique(state.velocity)) <= {0, 1}
+        assert record.gbest_fitness == state.gbest_fitness
+        bests.append(state.gbest_fitness)
+
+    runner = run_baseline_bpso if baseline else run_xor_pso
+    runner(split, config, masks, rng=np.random.default_rng(seed), on_record=check)
+    assert len(bests) == config.iterations
+    assert all(b >= a for a, b in zip(bests, bests[1:]))
 
 
 def test_same_seed_reproduces_different_seed_diverges(synth_split):

@@ -3,7 +3,8 @@
 Fits on the training rows restricted to a mask's selected columns and
 scores accuracy on the validation rows.  Search is brute-force and exact,
 with deterministic tie-breaking, so repeated evaluations of the same mask
-are bit-for-bit identical.
+are bit-for-bit identical.  An evaluation given a target count of correct
+rows classifies them in chunks and stops once the target is out of reach.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import SplitDataset
+
+
+# validation rows classified per step of an evaluation that may stop early
+CHUNK_ROWS = 32
 
 
 class EmptyMaskError(ValueError):
@@ -51,6 +56,19 @@ def knn_predict(
     ValueError
         Mask length mismatch, or k larger than the training sample count.
     """
+    n_val = split.validation.sample_count
+    (predictions,) = _predict_chunks(split, mask, config, None, n_val)
+    return predictions
+
+
+def _predict_chunks(split, mask, config, order, chunk):
+    """Predictions of the validation rows in ``order``, ``chunk`` rows per yield.
+
+    ``order`` None is file order.  Each chunk's distance and selection
+    matrices are row views of this thread's full-size work buffers, so
+    chunking allocates nothing new.  ``cdist`` and the selection act row
+    by row, so a row's prediction does not depend on its chunk.
+    """
     mask = np.asarray(mask)
     if mask.shape != (split.feature_count,):
         raise ValueError(
@@ -67,15 +85,20 @@ def knn_predict(
         )
     train = split.train.features[:, selected]
     valid = split.validation.features[:, selected]
-    dist = _scratch((valid.shape[0], train.shape[0]))[0]
-    # squared Euclidean keeps the same neighbor ordering and skips the sqrt
-    cdist(valid, train, metric="sqeuclidean", out=dist)
-    votes = split.train.labels[nearest_rows(dist, config.k)]
+    if order is not None:
+        valid = valid[order]
+    buffers = _scratch((valid.shape[0], train.shape[0]))
     # votes are counted per present class, so no cost depends on label
     # values; argmax takes the first maximum, so ties go to the lower class
     classes = split.train.classes
-    counts = (votes[:, :, None] == classes).sum(axis=1)
-    return classes[np.argmax(counts, axis=1)]
+    for start in range(0, valid.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        dist, part, chosen = (buffer[rows] for buffer in buffers)
+        # squared Euclidean keeps the same neighbor ordering and skips the sqrt
+        cdist(valid[rows], train, metric="sqeuclidean", out=dist)
+        votes = split.train.labels[_nearest(dist, config.k, part, chosen)]
+        counts = (votes[:, :, None] == classes).sum(axis=1)
+        yield classes[np.argmax(counts, axis=1)]
 
 
 def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -92,6 +115,11 @@ def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     any other value.
     """
     _, part, chosen = _scratch(dist.shape)
+    return _nearest(dist, k, part, chosen)
+
+
+def _nearest(dist, k, part, chosen):
+    """:func:`nearest_rows` with given work matrices of ``dist``'s shape."""
     np.copyto(part, dist)
     part.partition(k - 1, axis=1)
     kth = part[:, k - 1 : k]
@@ -126,8 +154,42 @@ def _scratch(shape: tuple[int, int]):
 
 
 def knn_accuracy(
-    split: SplitDataset, mask: np.ndarray, config: KnnConfig
-) -> float:
-    """Fraction of validation rows predicted correctly; in [0, 1]."""
-    preds = knn_predict(split, mask, config)
-    return float(np.mean(preds == split.validation.labels))
+    split: SplitDataset,
+    mask: np.ndarray,
+    config: KnnConfig,
+    target: int = 0,
+    order: np.ndarray | None = None,
+    missed: np.ndarray | None = None,
+) -> float | None:
+    """Fraction of validation rows predicted correctly; in [0, 1].
+
+    With a ``target`` (a count of rows), the rows are classified in
+    ``order`` (default: file order), ``CHUNK_ROWS`` at a time, and the
+    evaluation stops, returning None, once the rows already wrong leave
+    fewer than ``target`` that can be right.  A result that is not None is
+    exact whatever the order, since every row is predicted on its own.  A
+    target of 0 never stops and classifies all rows at once.  ``missed``,
+    when given, is a bool array over the validation rows in file order:
+    each visited row is set to whether it was predicted wrong, and rows
+    never visited keep their value.  Raises as :func:`knn_predict`.
+    """
+    n_val = split.validation.sample_count
+    if not target:
+        order = None  # never stops, so no order can save time
+    labels = split.validation.labels
+    if order is not None:
+        labels = labels[order]
+    allowed = n_val - target  # the most wrong rows that can still reach target
+    chunk = CHUNK_ROWS if target else n_val
+    errors = 0
+    for start, predictions in zip(
+        range(0, n_val, chunk), _predict_chunks(split, mask, config, order, chunk)
+    ):
+        rows = slice(start, start + chunk)
+        wrong = predictions != labels[rows]
+        if missed is not None:
+            missed[rows if order is None else order[rows]] = wrong
+        errors += int(np.count_nonzero(wrong))
+        if errors > allowed:
+            return None
+    return (n_val - errors) / n_val

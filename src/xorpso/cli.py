@@ -125,7 +125,8 @@ class RunConfig:
         annotations = typing.get_type_hints(cls)
         unknown = sorted(set(values) - set(annotations))
         if unknown:
-            raise CliError(f"unknown config key(s): {', '.join(unknown)}")
+            # quoted, so a key holding a newline cannot split the error line
+            raise CliError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         for key, value in values.items():
             _check_type(key, value, annotations[key])
         return cls(**values)
@@ -479,6 +480,11 @@ def main(argv=None) -> int:
         return cmd_synth_gen(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. a population whose masks cannot be allocated
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

@@ -22,11 +22,13 @@ is a few array expressions that act on a block of rows.
 Determinism: a run is driven by one caller-supplied generator with a fixed
 draw order: one ``rng.random((P, n, c))`` block at the start of every
 iteration, c = 2 for the XOR optimizer and 3 for the baseline; row i is
-particle i's block, laid out bit-major.  Evaluation draws nothing.  Given
-(generator state, config, dataset), every trace field except
-``elapsed_ms`` is reproducible bit-for-bit, and in synchronous mode the
-result is independent of the evaluation worker count.  :func:`run_seeded`
-is the one place that turns a seed number into those generators.
+particle i's block, laid out bit-major.  Evaluation draws nothing, and an
+evaluation that stops once it cannot beat its particle's personal best
+changes nothing.  Given (generator state, config, dataset), every trace
+field except ``elapsed_ms`` is reproducible bit-for-bit, and in
+synchronous mode the result is independent of the evaluation worker
+count.  :func:`run_seeded` is the one place that turns a seed number into
+those generators.
 """
 
 from __future__ import annotations
@@ -200,17 +202,41 @@ def fitness(accuracy: float, selected: int, total: int, threshold: float) -> flo
 
 
 def evaluate_particle(
-    mask: np.ndarray, split: SplitDataset, config: PsoConfig
-) -> tuple[float, float]:
+    mask: np.ndarray,
+    split: SplitDataset,
+    config: PsoConfig,
+    bar: float | None = None,
+    order: np.ndarray | None = None,
+    missed: np.ndarray | None = None,
+) -> tuple[float, float] | None:
     """Validation accuracy and fitness for a mask; (0, -1) for empty masks.
 
-    Pure: identical inputs give identical outputs.
+    Identical inputs give identical outputs.  With no ``bar`` every
+    validation row is classified.  With a ``bar``, a non-empty mask's
+    evaluation stops, returning None, once its fitness can no longer
+    exceed ``bar``; when no accuracy could exceed it, every row is
+    classified.  ``order`` and ``missed`` are passed to
+    :func:`~xorpso.classify.knn_accuracy`.
     """
     n_selected = selected_count(mask)
     if n_selected == 0:
         return 0.0, EMPTY_MASK_FITNESS
-    acc = knn_accuracy(split, mask, config.knn)
-    return acc, fitness(acc, n_selected, split.feature_count, config.accuracy_threshold)
+    n, threshold = split.feature_count, config.accuracy_threshold
+    target = 0
+    # no count of correct rows beats a bar at or above 2 - selected/n, the
+    # fitness of a perfect count, so such an evaluation runs in full
+    if bar is not None and bar < 2.0 - n_selected / n:
+        # fitness() of every possible count of correct rows, with its float
+        # arithmetic; fitness rises with the count, so the first count that
+        # beats the bar is the target
+        n_val = split.validation.sample_count
+        acc = np.arange(n_val + 1) / n_val
+        fit = np.where(acc < threshold, acc, 2.0 - n_selected / n)
+        target = int(np.argmax(fit > bar))
+    acc = knn_accuracy(split, mask, config.knn, target, order, missed)
+    if acc is None:
+        return None
+    return acc, fitness(acc, n_selected, n, threshold)
 
 
 def xor_velocity_update(
@@ -352,14 +378,32 @@ def _run_swarm(
             gbest_accuracy=0.0,
         )
 
+        # misses per validation row over the run; each evaluation visits
+        # the rows most often missed first, so one that cannot beat its
+        # particle's best stops early.  Only the main thread adds to the
+        # counts, in row order, so the order never depends on ``workers``.
+        miss_counts = np.zeros(split.validation.sample_count, dtype=np.int64)
+        missed = np.zeros((population, miss_counts.size), dtype=bool)
+
         def evaluate(rows: slice) -> None:
-            """Evaluate the current positions of ``rows`` and commit them in row order."""
+            """Evaluate the current positions of ``rows`` and commit them in row order.
+
+            An evaluation that stops early (None) could not have changed a best.
+            """
             indices = range(population)[rows]
+            order = np.argsort(-miss_counts, kind="stable")
+            missed[rows] = False
             evaluations = (map if pool is None else pool.map)(
-                lambda i: evaluate_particle(state.position[i], split, config), indices
+                lambda i: evaluate_particle(
+                    state.position[i], split, config, state.pbest_fitness[i],
+                    order, missed[i],
+                ),
+                indices,
             )
             for i, evaluation in zip(indices, evaluations):
-                state.commit(i, evaluation)
+                miss_counts[missed[i]] += 1
+                if evaluation is not None:
+                    state.commit(i, evaluation)
 
         # the initial population is evaluated up front so the first velocity
         # update has a defined global best

@@ -18,7 +18,7 @@ from xorpso import (
     knn_accuracy,
     knn_predict,
 )
-from xorpso.classify import nearest_rows
+from xorpso.classify import CHUNK_ROWS, nearest_rows
 
 
 def naive_knn(train_x, train_y, val_x, k, mask):
@@ -188,11 +188,11 @@ HUGE_VALUES = [-1.7e308, -1e200, 0.0, 1e154, 1e200, 1.7e308]
 
 
 @st.composite
-def _tie_heavy_instances(draw):
+def _tie_heavy_instances(draw, n_val=st.integers(2, 6)):
     k = draw(st.sampled_from([1, 3, 5]))
     # no extra rows gives k == n_train (a dataset holds at least two rows)
     n_train = max(2, k + draw(st.integers(0, 8)))
-    n_val = draw(st.integers(2, 6))
+    n_val = draw(n_val)
     n_feat = draw(st.integers(1, 4))
     values = draw(st.sampled_from([INTEGER_VALUES, HUGE_VALUES]))
 
@@ -225,6 +225,38 @@ def test_partial_selection_matches_stable_sort(instance):
     assert np.array_equal(chosen, np.sort(argsort_rows(dist, k), axis=1))
     got = knn_predict(split, mask, KnnConfig(k=k))
     assert list(got) == argsort_predict(split, mask, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_early_stopping_count_is_exact_or_below_target(data):
+    # around one chunk of rows; a dataset holds at least two rows, so the
+    # smallest validation set is 2
+    split, mask, k = data.draw(_tie_heavy_instances(
+        n_val=st.sampled_from([2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])))
+    n_val = split.validation.sample_count
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=n_val, max_size=n_val))
+    split = _make_split(split.train.features, split.train.labels,
+                        split.validation.features, labels)
+    target = data.draw(st.integers(0, n_val + 1))
+    order = np.array(data.draw(st.permutations(range(n_val))))
+    wrong = np.array(argsort_predict(split, mask, k)) != split.validation.labels
+    full = n_val - np.count_nonzero(wrong)
+    config = KnnConfig(k=k)
+    # rows never visited keep this value
+    missed = np.ones(n_val, dtype=bool)
+    got = knn_accuracy(split, mask, config, target, order, missed)
+    if got is not None:
+        assert got == full / n_val == knn_accuracy(split, mask, config)
+        assert np.array_equal(missed, wrong)
+        return
+    assert full < target
+    # it stops after the first chunk whose rows leave the target out of reach
+    ends = [*range(CHUNK_ROWS, n_val, CHUNK_ROWS), n_val]
+    visited = next(end for end in ends
+                   if np.count_nonzero(wrong[order[:end]]) > n_val - target)
+    assert np.array_equal(missed[order[:visited]], wrong[order[:visited]])
+    assert missed[order[visited:]].all()
 
 
 @st.composite
@@ -319,6 +351,25 @@ def test_warm_evaluation_allocates_less_than_one_distance_matrix(synth_split):
     tracemalloc.start()
     try:
         knn_accuracy(split, mask, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 640 * 8
+
+
+def test_stopping_evaluation_chunks_reuse_the_full_size_buffers(synth_split):
+    split = synth_split(n_samples=800, n_features=32, n_informative=6,
+                        data_seed=11, split_seed=3, class_separation=1.0)
+    mask = np.zeros(32, dtype=np.int8)
+    mask[::2] = 1
+    config = KnnConfig(k=5)
+    order = np.random.default_rng(0).permutation(160)
+    assert knn_accuracy(split, mask, config, 160, order) is None
+    tracemalloc.start()
+    try:
+        # one chunk after another, then stops; no buffer of chunk shape is made
+        assert knn_accuracy(split, mask, config, 1, order) is not None
+        assert knn_accuracy(split, mask, config, 160, order) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,12 +1,19 @@
 """End-to-end command-line runs: config resolution, outputs, and error paths."""
 
+import contextlib
+import dataclasses
 import inspect
+import io
 import json
 import os
 import statistics
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorpso import (
     BaselineConfig,
@@ -154,6 +161,40 @@ def test_wrong_type_in_config_file_is_one_error_line(tmp_path, capsys):
     assert "population" in _one_error_line(capsys)
 
 
+RUN_CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+# no RunConfig field takes a bool, a list or an object, and NaN and
+# +-Infinity are out of range (or of the wrong type) for every field
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+BAD_ENTRIES = st.one_of(
+    st.tuples(st.sampled_from(RUN_CONFIG_KEYS), BAD_VALUES),
+    st.tuples(
+        st.text(min_size=1, max_size=8).filter(lambda key: key not in RUN_CONFIG_KEYS),
+        st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=4)),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(BAD_ENTRIES, min_size=1, max_size=4))
+def test_fuzzed_bad_config_file_is_one_error_line(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(dict(entries)), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["select", "--synth", "n=30,f=4,inf=2", "--population", "2",
+                         "--iterations", "1", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--bins", "1"), ("--seeded-fraction", "1.5")])
 def test_bad_seeding_setting_is_one_error_line(tmp_path, capsys, flag, value):
     assert _select(tmp_path, flag, value) == 1
@@ -217,6 +258,10 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
         pytest.param(["select", "--synth", "n=40,f=5,inf=2,noise=1e300,sep=1e308"],
                      "cannot standardize feature column", id="mean-overflow",
                      marks=pytest.mark.filterwarnings("error")),
+        # the masks would take petabytes, so the allocation fails at once
+        pytest.param(["select", "--synth", "n=60,f=6,inf=2",
+                      "--population", "1000000000000000"],
+                     "not enough memory", id="population-beyond-memory"),
     ],
 )
 def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, message):

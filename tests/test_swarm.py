@@ -2,11 +2,17 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import xorpso.classify
+import xorpso.swarm
 
 from xorpso import (
     BaselineConfig,
@@ -277,10 +283,10 @@ def test_run_invariants_and_trace_consistency(synth_split, mode):
 
 
 @st.composite
-def _small_runs(draw, config_cls, mode):
+def _small_runs(draw, config_cls, mode, n_samples=st.integers(20, 40)):
     """A small split, config and starting masks, some of them possibly empty."""
     n_features = draw(st.integers(2, 6))
-    spec = SynthSpec(n_samples=draw(st.integers(20, 40)), n_features=n_features,
+    spec = SynthSpec(n_samples=draw(n_samples), n_features=n_features,
                      n_informative=draw(st.integers(1, n_features)),
                      seed=draw(st.integers(0, 2**16)))
     split = standardize_split(
@@ -320,6 +326,167 @@ def test_positions_and_xor_velocities_stay_binary_and_gbest_never_worsens(
     runner(split, config, masks, rng=np.random.default_rng(seed), on_record=check)
     assert len(bests) == config.iterations
     assert all(b >= a for a, b in zip(bests, bests[1:]))
+
+
+# --- early stopping against full evaluation ---------------------------------
+
+FULL_EVALUATE = xorpso.swarm.evaluate_particle
+
+
+def _full_evaluation(mask, split, config, *rest):
+    """``evaluate_particle`` with every bar, order and miss buffer ignored."""
+    return FULL_EVALUATE(mask, split, config)
+
+
+def _observed_run(runner, split, config, masks, seed, workers=1):
+    """The trace without ``elapsed_ms`` and a copy of the state at every record."""
+    states = []
+
+    def keep(record, state):
+        states.append((record, {
+            name: np.copy(getattr(state, name))
+            for name in ("position", "velocity", "pbest_position", "pbest_fitness",
+                         "pbest_accuracy", "gbest_position", "gbest_fitness",
+                         "gbest_accuracy")}))
+
+    best, trace = runner(split, config, masks, rng=np.random.default_rng(seed),
+                         workers=workers, on_record=keep)
+    assert [record for record, _ in states] == trace
+    return best, _without_elapsed(trace), [state for _, state in states]
+
+
+def _assert_same_runs(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    for got_state, want_state in zip(got[2], want[2], strict=True):
+        for name, value in want_state.items():
+            assert np.array_equal(got_state[name], value), name
+
+
+@pytest.mark.parametrize("optimizer,mode,workers", [
+    ("xor", "asynchronous", 1), ("xor", "synchronous", 1), ("xor", "synchronous", 2),
+    ("baseline", "asynchronous", 1), ("baseline", "synchronous", 1),
+    ("baseline", "synchronous", 2),
+])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_early_stopping_driver_equals_full_evaluation(optimizer, mode, workers, data):
+    baseline = optimizer == "baseline"
+    # 45 to 50 validation rows: two chunks, so an evaluation can stop early
+    split, config, masks, seed = data.draw(_small_runs(
+        BaselineConfig if baseline else PsoConfig, mode,
+        n_samples=st.integers(180, 200)))
+    if data.draw(st.booleans()):
+        masks[data.draw(st.integers(0, len(masks) - 1))] = [0] * split.feature_count
+    runner = run_baseline_bpso if baseline else run_xor_pso
+    got = _observed_run(runner, split, config, masks, seed, workers)
+    with mock.patch.object(xorpso.swarm, "evaluate_particle", _full_evaluation):
+        want = _observed_run(runner, split, config, masks, seed, workers)
+    _assert_same_runs(got, want)
+
+
+def _tall_run_inputs(synth_split):
+    """A 40-row validation set and masks whose swarm stops some evaluations."""
+    split = synth_split(n_samples=200, n_features=8, n_informative=2,
+                        class_separation=0.8)
+    masks = _random_masks(np.random.default_rng(4), 6, 8)
+    masks[2][:] = 0
+    return split, masks
+
+
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+def test_stopped_evaluations_reach_no_best_trace_or_callback(synth_split, mode):
+    split, masks = _tall_run_inputs(synth_split)
+    config = PsoConfig(population=6, iterations=8, update_mode=mode)
+    results = []
+
+    def recording(*args):
+        results.append(FULL_EVALUATE(*args))
+        return results[-1]
+
+    with mock.patch.object(xorpso.swarm, "evaluate_particle", recording):
+        got = _observed_run(run_xor_pso, split, config, masks, 0)
+    assert 0 < results.count(None) < len(results)
+    # every best the callback saw is a full evaluation of its mask
+    for state in got[2]:
+        for mask, accuracy, fit in zip(state["pbest_position"], state["pbest_accuracy"],
+                                       state["pbest_fitness"]):
+            assert evaluate_particle(mask, split, config) == (accuracy, fit)
+        assert evaluate_particle(state["gbest_position"], split, config) == (
+            state["gbest_accuracy"], state["gbest_fitness"])
+    with mock.patch.object(xorpso.swarm, "evaluate_particle", _full_evaluation):
+        want = _observed_run(run_xor_pso, split, config, masks, 0)
+    _assert_same_runs(got, want)
+
+
+@pytest.mark.parametrize("mode,workers", [
+    ("asynchronous", 1), ("synchronous", 1), ("synchronous", 2)])
+def test_every_nonempty_mask_reaches_the_wrapped_calls(synth_split, mode, workers):
+    # a benchmark wraps these three module globals by name and counts calls
+    split, masks = _tall_run_inputs(synth_split)
+    config = PsoConfig(population=6, iterations=5, update_mode=mode)
+    evaluations, knn_calls, cdist_rows = [], [], []
+
+    def wrap(module, name, log, entry):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            log.append(entry(args, result))
+            return result
+
+        return mock.patch.object(module, name, wrapper)
+
+    with wrap(xorpso.swarm, "evaluate_particle", evaluations,
+              lambda args, result: (selected_count(args[0]), result)), \
+         wrap(xorpso.swarm, "knn_accuracy", knn_calls, lambda args, result: result), \
+         wrap(xorpso.classify, "cdist", cdist_rows, lambda args, result: len(args[0])):
+        run_xor_pso(split, config, masks, rng=np.random.default_rng(0),
+                    workers=workers)
+    assert len(evaluations) == config.population * (config.iterations + 1)
+    nonempty = [result for selected, result in evaluations if selected]
+    assert len(nonempty) < len(evaluations)
+    assert len(knn_calls) == len(nonempty)
+    assert len(cdist_rows) >= len(nonempty)
+    # an evaluation stopped early (None) reaches knn_accuracy too
+    assert sum(result is None for result in knn_calls) == nonempty.count(None) > 0
+
+
+def test_evaluation_without_a_bar_classifies_every_row(synth_split, monkeypatch):
+    split, _ = _tall_run_inputs(synth_split)
+    rows = []
+    cdist = xorpso.classify.cdist
+
+    def counting(valid, *args, **kwargs):
+        rows.append(len(valid))
+        return cdist(valid, *args, **kwargs)
+
+    monkeypatch.setattr(xorpso.classify, "cdist", counting)
+    mask = np.ones(8, dtype=np.int8)
+    acc, fit = evaluate_particle(mask, split, PsoConfig())
+    assert sum(rows) == split.validation.sample_count == 40
+    assert acc == knn_accuracy(split, mask, KnnConfig())
+
+
+def test_bar_at_the_full_fitness_stops_and_below_it_does_not(synth_split):
+    split, _ = _tall_run_inputs(synth_split)
+    phases = set()
+    for threshold in (0.5, 0.99):
+        config = PsoConfig(accuracy_threshold=threshold)
+        for bits in ([1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1, 0, 0], [1] * 8):
+            mask = np.array(bits, dtype=np.int8)
+            full = evaluate_particle(mask, split, config)
+            # equal fitness never replaces a best, so it is not worth finishing;
+            # above the threshold no accuracy beats it, so it runs in full
+            above = full[0] >= threshold
+            phases.add(above)
+            at_bar = evaluate_particle(mask, split, config, full[1])
+            assert at_bar == (full if above else None)
+            below = np.nextafter(full[1], -np.inf)
+            assert evaluate_particle(mask, split, config, below) == full
+            # no accuracy beats a bar of 2, so the evaluation runs in full
+            assert evaluate_particle(mask, split, config, 2.0) == full
+    assert phases == {False, True}
 
 
 def test_same_seed_reproduces_different_seed_diverges(synth_split):
@@ -555,6 +722,22 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
     _write(_records(), path)
     assert read_trace(path) == _records()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(IterationRecord, st.integers(), FINITE, FINITE,
+                          st.integers(), FINITE, FINITE), min_size=1, max_size=5))
+def test_any_finite_records_survive_a_trace_round_trip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        _write(records, path)
+        assert read_trace(path) == records
+        keys = [tuple(json.loads(line))
+                for line in path.read_text(encoding="utf-8").splitlines()]
+        assert keys == [TRACE_FIELDS] * len(records)
 
 
 def test_trace_line_key_order(tmp_path):

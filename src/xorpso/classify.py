@@ -83,8 +83,10 @@ def _predict_chunks(split, mask, config, order, chunk):
             f"k={config.k} exceeds training sample count "
             f"{split.train.sample_count}"
         )
-    train = split.train.features[:, selected]
-    valid = split.validation.features[:, selected]
+    # take returns a new C-ordered copy; a fancy column index would come back
+    # Fortran-ordered, and cdist reads such rows at a stride, about 1.5x slower
+    train = np.take(split.train.features, selected, axis=1)
+    valid = np.take(split.validation.features, selected, axis=1)
     if order is not None:
         valid = valid[order]
     buffers = _scratch((valid.shape[0], train.shape[0]))

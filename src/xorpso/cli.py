@@ -482,7 +482,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # e.g. a population whose masks cannot be allocated
+        # e.g. a synthetic spec whose matrix cannot be allocated
         print(f"error: not enough memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 1

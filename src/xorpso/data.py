@@ -20,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
 class DatasetError(ValueError):
     """Raised for unreadable, malformed, or internally inconsistent datasets."""
 
@@ -150,6 +153,9 @@ class FeatureDataset:
             as_float = labels.astype(np.float64)
             if not np.all(as_float == np.floor(as_float)):
                 raise DatasetError("labels must be integers")
+            # the cast below would wrap these; 2**63 itself is a float64
+            if not np.all((as_float >= INT64_MIN) & (as_float < 2.0**63)):
+                raise DatasetError("labels must lie in the int64 range")
         labels = labels.astype(np.int64)
         if labels.min() < 0:
             raise DatasetError("labels must be non-negative class indices")
@@ -212,6 +218,38 @@ def provenance_path(path) -> Path:
     return Path(path).with_suffix(".provenance.json")
 
 
+def _parse_number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"could not parse {cell.strip()!r} as a number") from None
+
+
+def _parse_feature(cell: str) -> float:
+    value = _parse_number(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"feature value {cell.strip()!r} is not finite")
+    return value
+
+
+def _parse_label(cell: str) -> int:
+    """A label cell as an int64 value.
+
+    An integer literal is read as an int, so no digit is rounded away; a
+    float literal must hold an integral value, such as ``1.0`` or ``1e3``.
+    """
+    try:
+        label = int(cell)
+    except ValueError:
+        value = _parse_number(cell)
+        if not math.isfinite(value) or value != math.floor(value):
+            raise ValueError(f"label {cell.strip()!r} is not an integer") from None
+        label = int(value)
+    if not INT64_MIN <= label <= INT64_MAX:
+        raise ValueError(f"label {cell.strip()!r} is outside the int64 range")
+    return label
+
+
 def load_dataset(path, label_column: str = "label") -> FeatureDataset:
     """Load a labeled feature matrix from a headered CSV file.
 
@@ -232,11 +270,11 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
     ------
     DatasetError
         Missing file, text that is not UTF-8, absent label column, a
-        non-numeric or non-finite cell (the message names the offending row
-        and column), a non-integer label, fewer than two data rows, or a
-        provenance sidecar that is malformed, contradicts itself (see
-        :class:`SynthProvenance`) or contradicts the file's sample or
-        feature count.
+        non-numeric or non-finite cell, a non-integer label or one outside
+        int64 (the message names the offending row and column), fewer than
+        two data rows, or a provenance sidecar that is malformed,
+        contradicts itself (see :class:`SynthProvenance`) or contradicts the
+        file's sample or feature count.
     """
     path = Path(path)
     if not path.is_file():
@@ -279,28 +317,15 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
                 )
             feats_row = []
             for pos, cell in enumerate(cells):
-                name = header[pos]
                 try:
-                    value = float(cell)
-                except ValueError:
+                    if pos == label_pos:
+                        labels.append(_parse_label(cell))
+                    else:
+                        feats_row.append(_parse_feature(cell))
+                except ValueError as exc:
                     raise DatasetError(
-                        f"{path}: line {line_no}, column {name!r}: "
-                        f"could not parse {cell.strip()!r} as a number"
+                        f"{path}: line {line_no}, column {header[pos]!r}: {exc}"
                     ) from None
-                if pos == label_pos:
-                    if not math.isfinite(value) or value != math.floor(value):
-                        raise DatasetError(
-                            f"{path}: line {line_no}, column {name!r}: "
-                            f"label {cell.strip()!r} is not an integer"
-                        )
-                    labels.append(int(value))
-                else:
-                    if not math.isfinite(value):
-                        raise DatasetError(
-                            f"{path}: line {line_no}, column {name!r}: "
-                            f"feature value {cell.strip()!r} is not finite"
-                        )
-                    feats_row.append(value)
             rows.append(feats_row)
 
     if not feature_names:

@@ -92,6 +92,26 @@ def score_features(train: FeatureDataset, bin_count: int = 10) -> MiScores:
     return MiScores(scores=scores)
 
 
+# the largest population x features a swarm may have: the baseline's
+# per-iteration draw takes 24 B a cell (3 float64 uniforms), 1 GiB at the limit
+MAX_SWARM_CELLS = 2**30 // 24
+
+
+def check_swarm_size(population: int, n_features: int) -> None:
+    """Reject a swarm of more than ``MAX_SWARM_CELLS`` particle bits.
+
+    The one size check, made before any ``(population, n_features)`` array
+    is drawn, so an oversized swarm is a ValueError, not gigabytes filled.
+    """
+    cells = population * n_features
+    if cells > MAX_SWARM_CELLS:
+        raise ValueError(
+            f"population {population} x {n_features} features = {cells} swarm "
+            f"cells exceeds the limit of {MAX_SWARM_CELLS} (24 B per cell per "
+            "iteration)"
+        )
+
+
 def seed_masks(
     scores: MiScores,
     population: int,
@@ -122,6 +142,7 @@ def seed_masks(
     if not 0.0 <= seeded_fraction <= 1.0:
         raise ValueError(f"seeded_fraction must be in [0, 1], got {seeded_fraction}")
     n = scores.feature_count
+    check_swarm_size(population, n)
     if top_m is None:
         top_m = max(1, n // 4)
     if not 1 <= top_m <= n:

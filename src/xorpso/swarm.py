@@ -44,7 +44,7 @@ import numpy as np
 
 from .classify import KnnConfig, knn_accuracy
 from .data import SplitDataset
-from .rank import MiScores, seed_masks
+from .rank import MiScores, check_swarm_size, seed_masks
 
 ASYNCHRONOUS = "asynchronous"
 SYNCHRONOUS = "synchronous"
@@ -355,6 +355,7 @@ def _run_swarm(
     that particle i+1 sees.
     """
     n = split.feature_count
+    check_swarm_size(config.population, n)
     position = _validate_initial_masks(initial_masks, config, n)
     synchronous = config.update_mode == SYNCHRONOUS
     if workers > 1 and not synchronous:
@@ -507,6 +508,7 @@ def run_seeded(
     stream, any other config runs :func:`run_xor_pso` on the XOR stream.
     ``scores`` come from the caller, so one MI scoring serves every run.
     """
+    check_swarm_size(config.population, split.feature_count)
     seeding, xor_rng, baseline_rng = (
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(seed).spawn(3)

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from xorpso import (
+    SYNCHRONOUS,
     EmptyMaskError,
     FeatureDataset,
     KnnConfig,
+    PsoConfig,
     SplitDataset,
     knn_accuracy,
     knn_predict,
+    run_xor_pso,
 )
 from xorpso.classify import CHUNK_ROWS, nearest_rows
 
@@ -374,3 +377,66 @@ def test_stopping_evaluation_chunks_reuse_the_full_size_buffers(synth_split):
     finally:
         tracemalloc.stop()
     assert peak < 160 * 640 * 8
+
+
+@pytest.fixture
+def cdist_layouts(monkeypatch):
+    """Record whether both operands of every k-NN ``cdist`` call are C-contiguous."""
+    seen = []
+
+    def recording(a, b, *args, **kwargs):
+        seen.append((a.flags.c_contiguous, b.flags.c_contiguous))
+        return cdist(a, b, *args, **kwargs)
+
+    monkeypatch.setattr("xorpso.classify.cdist", recording)
+    return seen
+
+
+def _every_operand_c_contiguous(seen):
+    return bool(seen) and all(a and b for a, b in seen)
+
+
+def test_cdist_gets_c_contiguous_columns_in_file_order(synth_split, cdist_layouts):
+    split = synth_split(n_samples=120, n_features=40, n_informative=4)
+    mask = np.zeros(40, dtype=np.int8)
+    mask[::3] = 1
+    knn_accuracy(split, mask, KnnConfig(k=5))
+    assert _every_operand_c_contiguous(cdist_layouts)
+
+
+def test_cdist_gets_c_contiguous_columns_in_ordered_chunks(synth_split, cdist_layouts):
+    split = synth_split(n_samples=400, n_features=40, n_informative=4)
+    n_val = split.validation.sample_count
+    assert n_val > CHUNK_ROWS
+    mask = np.zeros(40, dtype=np.int8)
+    mask[1::2] = 1
+    order = np.random.default_rng(0).permutation(n_val)
+    knn_accuracy(split, mask, KnnConfig(k=5), 1, order)
+    assert len(cdist_layouts) > 1
+    assert _every_operand_c_contiguous(cdist_layouts)
+
+
+def test_cdist_gets_c_contiguous_columns_of_fortran_ordered_data(cdist_layouts):
+    rng = np.random.default_rng(1)
+    train, valid = (
+        FeatureDataset(features=np.asfortranarray(rng.random((rows, 12))),
+                       labels=np.arange(rows) % 2)
+        for rows in (30, 10)
+    )
+    assert train.features.flags.f_contiguous
+    split = SplitDataset(train=train, validation=valid)
+    mask = np.zeros(12, dtype=np.int8)
+    mask[[0, 4, 5, 9]] = 1
+    knn_accuracy(split, mask, KnnConfig(k=3))
+    assert _every_operand_c_contiguous(cdist_layouts)
+
+
+def test_cdist_gets_c_contiguous_columns_in_a_threaded_run(synth_split, cdist_layouts):
+    split = synth_split(n_samples=120, n_features=20, n_informative=4)
+    config = PsoConfig(population=6, iterations=2, update_mode=SYNCHRONOUS)
+    masks = list((np.random.default_rng(2).random((6, 20)) < 0.5).astype(np.int8))
+    for mask in masks:
+        mask[0] = 1
+    run_xor_pso(split, config, masks, rng=np.random.default_rng(3), workers=2)
+    assert len(cdist_layouts) >= 6
+    assert _every_operand_c_contiguous(cdist_layouts)

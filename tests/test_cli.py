@@ -37,6 +37,7 @@ from xorpso.cli import (
     parse_synth,
     resolve_config,
 )
+from xorpso.rank import MAX_SWARM_CELLS
 
 SMALL = "n=40,f=5,inf=2,seed=3"
 
@@ -258,10 +259,13 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
         pytest.param(["select", "--synth", "n=40,f=5,inf=2,noise=1e300,sep=1e308"],
                      "cannot standardize feature column", id="mean-overflow",
                      marks=pytest.mark.filterwarnings("error")),
-        # the masks would take petabytes, so the allocation fails at once
+        # the masks would take petabytes; the size check rejects them first
         pytest.param(["select", "--synth", "n=60,f=6,inf=2",
                       "--population", "1000000000000000"],
-                     "not enough memory", id="population-beyond-memory"),
+                     "swarm cells exceeds the limit", id="population-beyond-memory"),
+        # a synthetic matrix of petabytes fails to allocate at once
+        pytest.param(["select", "--synth", "n=1000000000000000,f=6,inf=2"],
+                     "not enough memory", id="synth-beyond-memory"),
     ],
 )
 def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, message):
@@ -269,6 +273,21 @@ def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, mes
     synth = [] if "--synth" in argv else ["--synth", SMALL]
     assert main([*argv, *synth, "--out", str(out)]) == 1
     assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "compare"])
+def test_oversized_swarm_is_rejected_before_seeding(tmp_path, capsys, monkeypatch,
+                                                    command):
+    def no_seeding(*args, **kwargs):
+        raise AssertionError("seed_masks was called for an oversized swarm")
+
+    monkeypatch.setattr("xorpso.swarm.seed_masks", no_seeding)
+    out = tmp_path / "out"
+    argv = [command, "--synth", "n=60,f=6,inf=2", "--population", "100000000"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = _one_error_line(capsys)
+    assert f"600000000 swarm cells exceeds the limit of {MAX_SWARM_CELLS}" in err
     assert not out.exists()
 
 
@@ -536,6 +555,85 @@ def test_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, flag, text):
     assert str(path) in err
     assert "UTF-8" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "mi-report"])
+@pytest.mark.parametrize("label", ["1000000000000000000000000000000", "-1e30"])
+def test_label_outside_int64_is_one_error_line(tmp_path, capsys, command, label):
+    path = tmp_path / "d.csv"
+    path.write_text(f"f0,label\n1,0\n2,1\n3,{label}\n4,1\n")
+    assert main([command, "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = _one_error_line(capsys)
+    assert "line 4, column 'label'" in err
+    assert "int64 range" in err
+    assert not (tmp_path / "out").exists()
+
+
+# a valid table: two features, two classes of six rows each
+GOOD_CSV = [["f0", "f1", "label"]] + [
+    [f"{row}.5", f"{-row}", str(row % 2)] for row in range(12)
+]
+# letters that spell no float literal (no inf, nan or exponent)
+WORDS = st.text(alphabet="bcdghjklmopqrsuvwxz", min_size=1, max_size=5)
+BAD_FEATURES = st.one_of(
+    WORDS, st.sampled_from(["", "nan", "-inf", "Infinity", "1e400", "-1e400", "1,5"])
+)
+BAD_LABELS = st.one_of(
+    WORDS,
+    st.sampled_from(["0.5", "1.25", "-1", "-7", "nan", "inf", "1e400", "1e30", ""]),
+    st.integers(min_value=2**63).map(str),
+    st.integers(max_value=-(2**63) - 1).map(str),
+)
+
+
+@st.composite
+def malformed_csvs(draw):
+    """CSV text that :func:`load_dataset` or the run must reject."""
+    table = [list(row) for row in GOOD_CSV]
+    row = draw(st.integers(1, len(table) - 1))
+    kind = draw(st.sampled_from(
+        ["short", "long", "feature", "label", "empty", "header", "repeated"]))
+    if kind == "short":
+        del table[row][draw(st.integers(0, 2))]
+    elif kind == "long":
+        table[row].append("0")
+    elif kind == "feature":
+        table[row][draw(st.integers(0, 1))] = draw(BAD_FEATURES)
+    elif kind == "label":
+        table[row][2] = draw(BAD_LABELS)
+    elif kind == "header":
+        table = table[:1]
+    elif kind == "repeated":
+        table[0][0] = "label"
+    text = "" if kind == "empty" else "".join(
+        ",".join(f'"{cell}"' if "," in cell else cell for cell in cells) + "\n"
+        for cells in table
+    )
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_csvs())
+def test_fuzzed_bad_csv_is_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "d.csv", Path(tmp) / "out"
+        data.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["select", "--data", str(data), "--population", "2",
+                         "--iterations", "1", "--out", str(out)])
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()
+
+
+def test_fuzzed_csv_base_table_is_valid(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("".join(",".join(cells) + "\n" for cells in GOOD_CSV))
+    assert main(["select", "--data", str(data), "--population", "2",
+                 "--iterations", "1", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_data_and_synth_are_mutually_exclusive(tmp_path, capsys):

@@ -69,6 +69,12 @@ def test_dataset_rejects_negative_labels():
         FeatureDataset(features=[[0.0], [1.0]], labels=[-1, 1])
 
 
+@pytest.mark.parametrize("label", [1e30, -1e19, 2.0**63, np.inf])
+def test_dataset_rejects_float_labels_outside_int64(label):
+    with pytest.raises(DatasetError, match="int64 range"):
+        FeatureDataset(features=[[0.0], [1.0]], labels=[0.0, label])
+
+
 def test_dataset_rejects_single_sample():
     with pytest.raises(DatasetError, match="two samples"):
         FeatureDataset(features=[[0.0, 1.0]], labels=[0])
@@ -261,6 +267,24 @@ def test_load_rejects_fractional_label(tmp_path):
     path.write_text("f0,label\n1.0,0.5\n2.0,1\n")
     with pytest.raises(DatasetError, match="line 2.*not an integer"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "label", ["1000000000000000000000000000000", "-9223372036854775809", "1e30"]
+)
+def test_load_rejects_label_outside_int64_naming_its_cell(tmp_path, label):
+    path = tmp_path / "data.csv"
+    path.write_text(f"f0,label\n1.0,0\n2.0,{label}\n")
+    with pytest.raises(DatasetError, match=r"line 3, column 'label'.*int64 range"):
+        load_dataset(path)
+
+
+def test_load_reads_integer_labels_exactly(tmp_path):
+    path = tmp_path / "data.csv"
+    # 2**53 + 1 is the first integer a float64 cannot hold
+    path.write_text("f0,label\n1.0,9007199254740993\n2.0,9223372036854775807\n"
+                    "3.0,2e3\n")
+    assert load_dataset(path).labels.tolist() == [2**53 + 1, 2**63 - 1, 2000]
 
 
 def test_load_rejects_ragged_row(tmp_path):

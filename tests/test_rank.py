@@ -17,6 +17,7 @@ from xorpso import (
     score_features,
     seed_masks,
 )
+from xorpso.rank import MAX_SWARM_CELLS, check_swarm_size
 
 
 # --- discretize -----------------------------------------------------------
@@ -235,6 +236,15 @@ def test_seed_masks_validation():
         seed_masks(s, population=4, top_m=3, rng=rng)
     with pytest.raises(ValueError, match="top_m"):
         seed_masks(s, population=4, top_m=0, rng=rng)
+
+
+def test_swarm_size_limit_is_checked_before_the_seeding_draw(fixed_rng_cls):
+    check_swarm_size(MAX_SWARM_CELLS // 2, 2)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        check_swarm_size(MAX_SWARM_CELLS + 1, 1)
+    # a generator with no scripted block fails if the masks are drawn at all
+    with pytest.raises(ValueError, match=f"{2 * 10**8} swarm cells"):
+        seed_masks(_scores([0.5, 0.1]), population=10**8, rng=fixed_rng_cls([]))
 
 
 def test_seed_masks_requires_a_generator():

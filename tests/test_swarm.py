@@ -566,6 +566,17 @@ def test_run_seeded_passes_workers_to_the_driver(synth_split):
         run_seeded(split, scores, PsoConfig(population=4, iterations=2), 0, workers=2)
 
 
+@pytest.mark.parametrize("optimizer", ["xor", "baseline"])
+def test_oversized_swarm_is_rejected_before_the_driver_allocates(synth_split, optimizer):
+    split = synth_split(n_samples=60, n_features=6, n_informative=2)
+    config = (BaselineConfig if optimizer == "baseline" else PsoConfig)(
+        population=10**8, iterations=1)
+    runner = run_baseline_bpso if optimizer == "baseline" else run_xor_pso
+    # checked before the initial masks, so none need to exist
+    with pytest.raises(ValueError, match="600000000 swarm cells exceeds the limit"):
+        runner(split, config, [], rng=np.random.default_rng(0))
+
+
 def test_initial_population_is_evaluated_before_first_iteration(tiny_split):
     # the optimum [1, 0] is present from the start, so iteration 0 must
     # already report it and no later iteration can move away

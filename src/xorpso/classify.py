@@ -3,7 +3,9 @@
 Fits on the training rows restricted to a mask's selected columns and
 scores accuracy on the validation rows.  Search is brute-force and exact,
 with deterministic tie-breaking, so repeated evaluations of the same mask
-are bit-for-bit identical.  An evaluation given a target count of correct
+are bit-for-bit identical.  One GEMM gives every distance to within a
+proven bound; only the pairs the bound cannot order are summed again
+exactly, column by column.  An evaluation given a target count of correct
 rows classifies them in chunks and stops once the target is out of reach.
 """
 
@@ -13,13 +15,19 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import SplitDataset
 
 
 # validation rows classified per step of an evaluation that may stop early
 CHUNK_ROWS = 32
+
+# unit roundoff of float64, u in Higham's notation
+_UNIT_ROUNDOFF = 2.0**-53
+# 8x the largest error of one product that underflows (2**-1075)
+_UNDERFLOW_SLACK = 2.0**-1072
+# below this, no sum of squared norms in the distance step overflows
+_NORM_LIMIT = np.finfo(np.float64).max / 4
 
 
 class EmptyMaskError(ValueError):
@@ -66,8 +74,8 @@ def _predict_chunks(split, mask, config, order, chunk):
 
     ``order`` None is file order.  Each chunk's distance and selection
     matrices are row views of this thread's full-size work buffers, so
-    chunking allocates nothing new.  ``cdist`` and the selection act row
-    by row, so a row's prediction does not depend on its chunk.
+    chunking allocates nothing new.  The distance step and the selection
+    act row by row, so a row's prediction does not depend on its chunk.
     """
     mask = np.asarray(mask)
     if mask.shape != (split.feature_count,):
@@ -84,7 +92,7 @@ def _predict_chunks(split, mask, config, order, chunk):
             f"{split.train.sample_count}"
         )
     # take returns a new C-ordered copy; a fancy column index would come back
-    # Fortran-ordered, and cdist reads such rows at a stride, about 1.5x slower
+    # Fortran-ordered, and the distance step would read its rows at a stride
     train = np.take(split.train.features, selected, axis=1)
     valid = np.take(split.validation.features, selected, axis=1)
     if order is not None:
@@ -96,9 +104,8 @@ def _predict_chunks(split, mask, config, order, chunk):
     for start in range(0, valid.shape[0], chunk):
         rows = slice(start, start + chunk)
         dist, part, chosen = (buffer[rows] for buffer in buffers)
-        # squared Euclidean keeps the same neighbor ordering and skips the sqrt
-        cdist(valid[rows], train, metric="sqeuclidean", out=dist)
-        votes = split.train.labels[_nearest(dist, config.k, part, chosen)]
+        nearest = _nearest_exact(valid[rows], train, config.k, dist, part, chosen)
+        votes = split.train.labels[nearest]
         counts = (votes[:, :, None] == classes).sum(axis=1)
         yield classes[np.argmax(counts, axis=1)]
 
@@ -117,11 +124,114 @@ def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     any other value.
     """
     _, part, chosen = _scratch(dist.shape)
-    return _nearest(dist, k, part, chosen)
+    _select(dist, k, part, chosen)
+    return _chosen_columns(chosen, k)
 
 
-def _nearest(dist, k, part, chosen):
-    """:func:`nearest_rows` with given work matrices of ``dist``'s shape."""
+def cdist(valid: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared distances from one GEMM into ``out``; returns a bound per row.
+
+    Writes ``|v|² + |t|² − 2·v·t`` for every row v of ``valid`` and t of
+    ``train`` into ``out`` (a ``valid`` rows × ``train`` rows matrix), the
+    product from one ``np.matmul``.  Returns E, one entry per row of
+    ``valid``, with ``|out[i, l] − S[i, l]| ≤ E[i]`` for every l, where
+    S is :func:`ordered_sqeuclidean`.  E[i] is ``inf`` where the entries
+    could overflow; ``out[i]`` may then hold ``inf`` or NaN.
+
+    E[i] = (5m + 16)·u·s_i + m·2⁻¹⁰⁷² with s_i = |v_i|² + max_l |t_l|²
+    (computed), m columns and u = 2⁻⁵³.  The derivation holds for any BLAS
+    summation order, with or without FMA, and under gradual underflow.  Let
+    a = |v|², b = |t|², g = v·t and D = a + b − 2g in exact arithmetic,
+    γ_n = nu/(1 − nu), and assume (m + 2)u ≤ 0.01 (any m below 10¹³).
+
+    1. A dot product of length m, summed in any order, with or without
+       FMA, is within γ_m·Σ|x_j·y_j| of the exact one (Higham, *Accuracy
+       and Stability of Numerical Algorithms*, 2nd ed., 2002, §3.1): each
+       product passes through at most m roundings in any summation tree.
+       So the computed norms satisfy |â − a| ≤ γ_m·a and |b̂ − b| ≤ γ_m·b.
+       Scaling by −2 is exact, so the GEMM entry of (−2v)·t is within
+       2γ_m·|v|·|t| ≤ γ_m(a + b) of −2g.
+    2. The two additions that assemble ``out`` have operands of at most
+       2(1 + γ_m)(a + b) and 3(1 + γ_m)(1 + u)(a + b), so they add at most
+       5u(1 + u)(1 + γ_m)(a + b).
+    3. S rounds each difference, each square and m − 1 additions of
+       non-negative terms, so |S − D| ≤ γ_{m+2}·D ≤ 2γ_{m+2}(a + b).
+
+    Together |out − S| ≤ (4γ_{m+2} + 5.1u)(a + b) ≤ (4.1m + 13.4)u·s_i,
+    since a + b ≤ (â + b̂)/(1 − γ_m) ≤ 1.011·s_i.  The caller's limit
+    ``kth + 2·E[i]`` rounds once more, by at most 2.2u·s_i, and E[i] itself
+    rounds twice; (5m + 16)u·s_i covers all of it.  Under gradual
+    underflow a product may also be off by up to 2⁻¹⁰⁷⁵ in absolute terms,
+    while sums and differences stay exact.  â, b̂, the GEMM entry and S
+    hold m products each, so their underflow errors total about
+    4m·2⁻¹⁰⁷⁵, within m·2⁻¹⁰⁷² = 8m·2⁻¹⁰⁷⁵.  When 4·s_i is finite, no
+    partial sum, GEMM entry or entry of ``out`` overflows (each is at most
+    3.2·s_i); otherwise E[i] is ``inf``.
+    """
+    m = valid.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid_sq = np.einsum("ij,ij->i", valid, valid)
+        train_sq = np.einsum("ij,ij->i", train, train)
+        np.matmul(valid * -2.0, train.T, out=out)
+        out += valid_sq[:, None]
+        out += train_sq
+        scale = valid_sq + train_sq.max()
+    bound = (5 * m + 16) * _UNIT_ROUNDOFF * scale + m * _UNDERFLOW_SLACK
+    bound[scale > _NORM_LIMIT] = np.inf
+    return bound
+
+
+def ordered_sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``((0 + d₀²) + d₁²) + …`` of ``d = a − b``, summed in column order.
+
+    This is scipy's ``cdist(..., metric="sqeuclidean")`` entry bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        d = a - b
+        np.square(d, out=d)
+        return np.cumsum(d, axis=1, out=d)[:, -1]
+
+
+def _nearest_exact(valid, train, k, dist, part, chosen):
+    """Column indices of the k nearest ``train`` rows to each ``valid`` row.
+
+    Exactly :func:`nearest_rows` of the :func:`ordered_sqeuclidean`
+    distances, using ``dist``, ``part`` and ``chosen`` as work matrices.
+    :func:`cdist` gives every distance within E[i] of the exact one, so
+    the k-th exact distance is at most ``kth + E[i]``, with ``kth`` the k-th
+    GEMM distance.  Every training row at or below the k-th exact distance
+    is thus a candidate: GEMM distance at most ``kth + 2·E[i]``.  A row with
+    exactly k candidates is done.  A row with more gets each candidate's
+    exact distance and the tie rules of :func:`nearest_rows`.  A row whose
+    bound is ``inf`` takes every column as a candidate.
+    """
+    bound = cdist(valid, train, out=dist)
+    np.copyto(part, dist)
+    part.partition(k - 1, axis=1)
+    with np.errstate(invalid="ignore"):  # a row with an inf bound may hold -inf
+        limit = part[:, k - 1] + 2.0 * bound
+    np.less_equal(dist, limit[:, None], out=chosen)
+    chosen[np.isinf(bound)] = True
+    # every row has at least k candidates, so a total of k per row means
+    # that no row needs the re-check
+    if np.count_nonzero(chosen) != k * len(chosen):
+        recheck = np.flatnonzero(np.count_nonzero(chosen, axis=1) != k)
+        rows, cols = np.nonzero(chosen[recheck])
+        exact = np.full((recheck.size, train.shape[0]), np.inf)
+        exact[rows, cols] = ordered_sqeuclidean(valid[recheck[rows]], train[cols])
+        picked = np.empty(exact.shape, dtype=bool)
+        _select(exact, k, np.empty_like(exact), picked)
+        chosen[recheck] = picked
+    return _chosen_columns(chosen, k)
+
+
+def _chosen_columns(chosen, k):
+    # every row holds exactly k chosen columns, so row-major flat indices reshape
+    return np.flatnonzero(chosen).reshape(-1, k) % chosen.shape[1]
+
+
+def _select(dist, k, part, chosen):
+    """Set ``chosen`` to the :func:`nearest_rows` selection; ``part`` is work memory."""
     np.copyto(part, dist)
     part.partition(k - 1, axis=1)
     kth = part[:, k - 1 : k]
@@ -134,8 +244,6 @@ def _nearest(dist, k, part, chosen):
         room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
         chosen[tie_rows] = nearer | (
             tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
-    # every row holds exactly k chosen columns, so row-major flat indices reshape
-    return np.flatnonzero(chosen).reshape(-1, k) % dist.shape[1]
 
 
 _local = threading.local()

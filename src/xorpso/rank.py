@@ -119,8 +119,10 @@ def seed_masks(
     top_m: int | None = None,
     *,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Build the initial particle positions, part MI-seeded, part uniform.
+
+    Returns one ``(population, n)`` int8 array of 0/1 bits, row i for mask i.
 
     ``round(population * seeded_fraction)`` masks come first: the ``top_m``
     highest-MI features are forced on and every other bit is Bernoulli(0.1),
@@ -153,4 +155,4 @@ def seed_masks(
     masks = (rng.random((population, n)) < bit_rate[:, None]).astype(np.int8)
     masks[:n_seeded, scores.ranking()[:top_m]] = 1
     masks[~masks.any(axis=1), np.argmax(scores.scores)] = 1
-    return list(masks)
+    return masks

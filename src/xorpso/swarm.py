@@ -312,23 +312,32 @@ def _xor_move(x, v, pbest, gbest, w, u):
 
 
 def _validate_initial_masks(initial_masks, config: PsoConfig, n_features: int):
+    """The initial masks as a new ``(population, n_features)`` int8 array.
+
+    Checked with whole-array expressions; a rejection names the first bad
+    mask's index.
+    """
     if len(initial_masks) != config.population:
         raise ValueError(
             f"got {len(initial_masks)} initial masks for a population of "
             f"{config.population}"
         )
-    positions = []
-    for i, mask in enumerate(initial_masks):
-        arr = np.asarray(mask)
-        if arr.shape != (n_features,):
-            raise ValueError(
-                f"initial mask {i} has shape {arr.shape}, expected ({n_features},)"
-            )
-        # checked before the cast, which would truncate 0.5 to 0 and fail on NaN
-        if not np.all((arr == 0) | (arr == 1)):
-            raise ValueError(f"initial mask {i} has bits outside {{0, 1}}")
-        positions.append(arr.astype(np.int8))
-    return np.array(positions)
+    try:
+        masks = np.asarray(initial_masks)
+    except ValueError:  # rows of different lengths
+        masks = None
+    if masks is None or masks.shape != (config.population, n_features):
+        for i, mask in enumerate(initial_masks):
+            if np.shape(mask) != (n_features,):
+                raise ValueError(
+                    f"initial mask {i} has shape {np.shape(mask)}, "
+                    f"expected ({n_features},)"
+                )
+    # checked before the cast, which would truncate 0.5 to 0 and fail on NaN
+    bad = ~((masks == 0) | (masks == 1)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"initial mask {int(np.argmax(bad))} has bits outside {{0, 1}}")
+    return masks.astype(np.int8)
 
 
 def _run_swarm(
@@ -527,7 +536,9 @@ def brute_force_best(
     """Exhaustively score every non-empty mask; ground truth for small instances.
 
     Ties go to the mask with fewer selected features, then to the
-    lexicographically smallest bit vector.  Guarded at
+    lexicographically smallest bit vector.  A mask whose ceiling
+    ``2 - selected/n`` is below the best fitness so far is not evaluated,
+    which changes no result.  Guarded at
     ``BRUTE_FORCE_MAX_FEATURES`` features since the search is O(2^n).
     """
     n = split.feature_count
@@ -540,8 +551,13 @@ def brute_force_best(
     best_key, best_mask, best_fit = (np.inf,), None, -np.inf
     for m in range(1, 1 << n):
         mask = ((m >> bit_positions) & 1).astype(np.int8)
+        selected = selected_count(mask)
+        # no fitness exceeds 2 - selected/n (below the threshold it is an
+        # accuracy under 1), so such a mask can neither beat nor tie the best
+        if 2.0 - selected / n < best_fit:
+            continue
         _, fit = evaluate_particle(mask, split, config)
-        key = (-fit, selected_count(mask), tuple(mask))
+        key = (-fit, selected, tuple(mask))
         if key < best_key:
             best_key, best_mask, best_fit = key, mask, fit
     return best_mask, float(best_fit)

@@ -1,8 +1,11 @@
 """k-NN mask evaluation against hand computations and reference implementations."""
 
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import xorpso.classify
 from xorpso import (
     SYNCHRONOUS,
     EmptyMaskError,
@@ -21,7 +25,12 @@ from xorpso import (
     knn_predict,
     run_xor_pso,
 )
-from xorpso.classify import CHUNK_ROWS, nearest_rows
+from xorpso.classify import (
+    CHUNK_ROWS,
+    _nearest_exact,
+    nearest_rows,
+    ordered_sqeuclidean,
+)
 
 
 def naive_knn(train_x, train_y, val_x, k, mask):
@@ -310,6 +319,102 @@ def test_tie_fill_on_some_rows_only_matches_stable_sort(data):
     assert np.array_equal(nearest_rows(dist, k), np.sort(argsort_rows(dist, k), axis=1))
 
 
+# --- the GEMM filter and the exact re-check against scipy's cdist ----------
+
+# scale factors: plain values, squares that are subnormal, values that are
+# themselves subnormal, and values whose squares (or their sums) overflow
+SCALES = [1.0, 2.0**-530, 2.0**-1060, 1e154, 1e300, 4e307]
+
+
+@st.composite
+def _near_tie_instances(draw):
+    """Rows at or near exact distance ties: duplicates, rows 1 ulp apart,
+    a large common offset, subnormal and overflowing values."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    # no extra rows gives k == n_train (a dataset holds at least two rows)
+    n_train = max(2, k + draw(st.integers(0, 8)))
+    n_val = draw(st.integers(2, 5))
+    m = draw(st.sampled_from([1, 2, 3, 8]))
+    values = st.sampled_from([0.0, 1.0, -1.0, 3.0]) | st.floats(-4, 4)
+
+    def rows(n):
+        return np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                      min_size=n, max_size=n)))
+
+    scale = draw(st.sampled_from(SCALES))
+    offset = draw(st.sampled_from([0.0, 1e8])) if scale < 1e8 else 0.0
+    train, valid = rows(n_train) * scale + offset, rows(n_val) * scale + offset
+    for i in range(1, n_train):
+        kind = draw(st.sampled_from(["own", "duplicate", "ulp"]))
+        if kind != "own":
+            train[i] = train[draw(st.integers(0, i - 1))]
+        if kind == "ulp":
+            j = draw(st.integers(0, m - 1))
+            train[i, j] = np.nextafter(train[i, j], draw(st.sampled_from([-1e308, 1e308])))
+    for i in range(n_val):
+        if draw(st.booleans()):
+            valid[i] = train[draw(st.integers(0, n_train - 1))]
+    train_y = draw(st.lists(st.integers(0, 2), min_size=n_train, max_size=n_train))
+    return _make_split(train, train_y, valid, [0] * n_val), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_tie_instances())
+def test_gemm_filter_neighbours_match_the_oracle(instance):
+    split, k = instance
+    valid, train = split.validation.features, split.train.features
+    exact = cdist(valid, train, metric="sqeuclidean")
+    # the bound covers every entry of a row whose bound is finite
+    approx = np.empty(exact.shape)
+    bound = xorpso.classify.cdist(valid, train, approx)
+    finite = np.isfinite(bound)
+    assert np.all(np.abs(approx[finite] - exact[finite]) <= bound[finite, None])
+    work = (np.empty(exact.shape), np.empty(exact.shape), np.empty(exact.shape, bool))
+    got = _nearest_exact(valid, train, k, *work)
+    assert np.array_equal(got, np.sort(argsort_rows(exact, k), axis=1))
+    mask = np.ones(split.feature_count, dtype=np.int8)
+    assert list(knn_predict(split, mask, KnnConfig(k=k))) == argsort_predict(split, mask, k)
+
+
+def test_rows_whose_sums_could_overflow_take_every_column():
+    # |v|² + max|t|² is finite but above a quarter of the float64 maximum, and
+    # 2|v·t| + |v|² overflows for the first pair
+    split = _make_split(train_x=[[-9.4e153], [0.0], [1.0]], train_y=[0, 1, 1],
+                        val_x=[[9.4e153], [1.0]], val_y=[0, 1])
+    valid, train = split.validation.features, split.train.features
+    approx = np.empty((2, 3))
+    bound = xorpso.classify.cdist(valid, train, approx)
+    assert np.isinf(bound).all()
+    assert approx[0, 0] == np.inf
+    exact = cdist(valid, train, metric="sqeuclidean")
+    work = (np.empty((2, 3)), np.empty((2, 3)), np.empty((2, 3), bool))
+    assert np.array_equal(_nearest_exact(valid, train, 1, *work), argsort_rows(exact, 1))
+
+
+@pytest.mark.parametrize("n_val,n_train,m", [(80, 320, 18), (24, 96, 740),
+                                             (160, 640, 16)])
+def test_recheck_sum_equals_scipy_bit_for_bit(n_val, n_train, m):
+    rng = np.random.default_rng(m)
+    valid = rng.standard_normal((n_val, m))
+    train = rng.standard_normal((n_train, m))
+    rows = rng.integers(0, n_val, size=3000)
+    cols = rng.integers(0, n_train, size=3000)
+    want = cdist(valid, train, metric="sqeuclidean")[rows, cols]
+    got = ordered_sqeuclidean(valid[rows], train[cols])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fresh_import_loads_no_scipy():
+    src = Path(xorpso.classify.__file__).resolve().parents[1]
+    code = ("import sys, xorpso; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_threads_evaluating_at_once_match_sequential_results(synth_split):
     # a split with tall_sync_compare's 160x640 distance matrix
     split = synth_split(n_samples=800, n_features=32, n_informative=6,
@@ -381,14 +486,15 @@ def test_stopping_evaluation_chunks_reuse_the_full_size_buffers(synth_split):
 
 @pytest.fixture
 def cdist_layouts(monkeypatch):
-    """Record whether both operands of every k-NN ``cdist`` call are C-contiguous."""
+    """Record whether both operands of every k-NN distance step are C-contiguous."""
     seen = []
+    distance_step = xorpso.classify.cdist
 
-    def recording(a, b, *args, **kwargs):
-        seen.append((a.flags.c_contiguous, b.flags.c_contiguous))
-        return cdist(a, b, *args, **kwargs)
+    def recording(valid, train, out):
+        seen.append((valid.flags.c_contiguous, train.flags.c_contiguous))
+        return distance_step(valid, train, out)
 
-    monkeypatch.setattr("xorpso.classify.cdist", recording)
+    monkeypatch.setattr(xorpso.classify, "cdist", recording)
     return seen
 
 

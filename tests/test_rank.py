@@ -299,7 +299,8 @@ def test_seed_masks_equals_one_draw_per_mask(case):
                      rng=np.random.default_rng(seed))
     want = _seed_masks_per_mask(scores, population, fraction, top_m,
                                 np.random.default_rng(seed))
-    assert len(got) == population
+    assert isinstance(got, np.ndarray) and got.dtype == np.int8
+    assert got.shape == (population, scores.feature_count)
     for g, w in zip(got, want):
         assert g.dtype == np.int8 and g.shape == w.shape
         assert np.array_equal(g, w)

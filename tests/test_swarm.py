@@ -212,6 +212,24 @@ def test_initial_mask_validation(tiny_split):
             run_xor_pso(tiny_split, config, [bad, [1, 0]], rng=rng)
 
 
+def test_initial_mask_array_is_checked_whole_and_copied(tiny_split):
+    config = PsoConfig(population=3, iterations=1, knn=KnnConfig(k=1))
+    masks = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int8)
+    for bad, row in ((2, 1), (-1, 2)):
+        broken = masks.copy()
+        broken[row, 0] = bad
+        with pytest.raises(ValueError, match=f"initial mask {row} has bits"):
+            run_xor_pso(tiny_split, config, broken, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"initial mask 2 has shape \(3,\)"):
+        run_xor_pso(tiny_split, config, [[1, 0], [0, 1], [1, 1, 0]],
+                    rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"initial mask 0 has shape \(3,\)"):
+        run_xor_pso(tiny_split, config, np.ones((3, 3)), rng=np.random.default_rng(0))
+    original = masks.copy()
+    run_xor_pso(tiny_split, config, masks, rng=np.random.default_rng(0))
+    assert np.array_equal(masks, original)
+
+
 def test_generator_is_required(tiny_split):
     config = PsoConfig(population=1, iterations=1, knn=KnnConfig(k=1))
     with pytest.raises(TypeError, match="rng"):
@@ -712,6 +730,32 @@ def test_brute_force_matches_exhaustive_reference(synth_split):
     )
     assert fit == best
     assert evaluate_particle(mask, split, config)[1] == fit
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.9, 1.0])
+def test_brute_force_skips_only_masks_that_cannot_tie_the_best(synth_split, threshold):
+    split = synth_split(n_samples=60, n_features=6, n_informative=2)
+    config = PsoConfig(knn=KnnConfig(k=3), accuracy_threshold=threshold)
+    masks = [np.array([(m >> j) & 1 for j in range(6)], dtype=np.int8)
+             for m in range(1, 64)]
+    # reference: every mask evaluated, the smallest (-fitness, selected, bits) wins
+    want_key, want_mask = min(
+        ((-evaluate_particle(mask, split, config)[1], selected_count(mask), tuple(mask)),
+         mask) for mask in masks)
+    evaluated = []
+
+    def recording(mask, *args):
+        evaluated.append(tuple(mask))
+        return evaluate_particle(mask, *args)
+
+    with mock.patch.object(xorpso.swarm, "evaluate_particle", recording):
+        mask, fit = brute_force_best(split, config)
+    assert (fit, list(mask)) == (-want_key[0], list(want_mask))
+    # a mask left out has a ceiling below the best fitness
+    for skipped in {tuple(m) for m in masks} - set(evaluated):
+        assert 2.0 - sum(skipped) / 6 < fit
+    if fit > 1:
+        assert len(evaluated) < len(masks)
 
 
 # --- trace serialization --------------------------------------------------

@@ -114,17 +114,17 @@ def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of ``dist``.
 
     Equal distances prefer the lower column index.  Within a row the
-    columns come in ascending index order, not by distance.  The selection
-    is partial: an in-place partition of a copy finds each row's k-th
-    smallest distance, and every column at or below it is chosen.  A row
-    with exactly k such columns is done.  Only the rows with more, those
-    with a tie at the k-th distance, are filled again: every strictly
-    nearer column, then the lowest-index columns at exactly that distance
-    for the remaining places.  Entries must not be NaN; ``inf`` ties like
-    any other value.
+    columns come in ascending index order, not by distance.  A partitioned
+    copy gives each row's k-th smallest distance; every strictly nearer
+    column is chosen, then the lowest-index columns at exactly that
+    distance fill the remaining places.  Entries must not be NaN; ``inf``
+    ties like any other value.
     """
-    _, part, chosen = _scratch(dist.shape)
-    _select(dist, k, part, chosen)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    nearer = dist < kth
+    tied = dist == kth
+    room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
+    chosen = nearer | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
     return _chosen_columns(chosen, k)
 
 
@@ -219,9 +219,8 @@ def _nearest_exact(valid, train, k, dist, part, chosen):
         rows, cols = np.nonzero(chosen[recheck])
         exact = np.full((recheck.size, train.shape[0]), np.inf)
         exact[rows, cols] = ordered_sqeuclidean(valid[recheck[rows]], train[cols])
-        picked = np.empty(exact.shape, dtype=bool)
-        _select(exact, k, np.empty_like(exact), picked)
-        chosen[recheck] = picked
+        chosen[recheck] = False
+        chosen[recheck[:, None], nearest_rows(exact, k)] = True
     return _chosen_columns(chosen, k)
 
 
@@ -230,31 +229,16 @@ def _chosen_columns(chosen, k):
     return np.flatnonzero(chosen).reshape(-1, k) % chosen.shape[1]
 
 
-def _select(dist, k, part, chosen):
-    """Set ``chosen`` to the :func:`nearest_rows` selection; ``part`` is work memory."""
-    np.copyto(part, dist)
-    part.partition(k - 1, axis=1)
-    kth = part[:, k - 1 : k]
-    np.less_equal(dist, kth, out=chosen)
-    tie_rows = np.flatnonzero(np.count_nonzero(chosen, axis=1) != k)
-    if tie_rows.size:
-        rows, kth = dist[tie_rows], kth[tie_rows]
-        nearer = rows < kth
-        tied = rows == kth
-        room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
-        chosen[tie_rows] = nearer | (
-            tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
-
-
 _local = threading.local()
 
 
 def _scratch(shape: tuple[int, int]):
     """This thread's distance, partition and chosen matrices of ``shape``.
 
-    Reused from call to call while the shape holds, so an evaluation
-    writes into pages it already owns (17 B per entry).  Each thread has
-    its own, so pool threads never share one; none may escape a call.
+    The evaluation's GEMM filter works in them, and reuses them from call
+    to call while the shape holds, so it writes into pages it already owns
+    (17 B per entry).  Each thread has its own, so pool threads never
+    share one; none may escape a call.
     """
     buffers = getattr(_local, "buffers", None)
     if buffers is None or buffers[0].shape != shape:

@@ -79,8 +79,8 @@ class RunConfig:
     values, config files, and the ``result.json`` echo merge mechanically;
     a config key with no flag is rejected.  Swarm and k-NN defaults are the
     library's: ``threshold`` is ``accuracy_threshold`` and ``knn_k`` is
-    ``KnnConfig.k``.  The baseline's coefficients and velocity clamp are
-    :class:`BaselineConfig`'s defaults.
+    ``KnnConfig.k``.  The baseline runs at the fixed coefficients and
+    velocity clamp of :mod:`xorpso.swarm` (``C1``, ``C2``, ``V_CLAMP``).
     """
 
     data: str | None = None
@@ -111,11 +111,6 @@ class RunConfig:
             raise CliError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise CliError(f"seed must be >= 0, got {self.seed}")
-        if self.workers > 1 and self.optimizer == "oracle":
-            raise CliError(
-                f"workers={self.workers} has no effect with optimizer='oracle', "
-                "which scores one mask at a time"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -267,6 +262,11 @@ def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path
 
 def cmd_select(config: RunConfig) -> int:
     # a rejected setting stops the run before it reads the data
+    if config.workers > 1 and config.optimizer == "oracle":
+        raise CliError(
+            f"workers={config.workers} has no effect with optimizer='oracle', "
+            "which scores one mask at a time"
+        )
     swarm_config = config.swarm_config(config.optimizer)
     split, scores = _prepare(config)
     out_dir = Path(config.out)

@@ -62,6 +62,8 @@ class SynthSpec:
                 f"n_informative must be in [1, n_features={self.n_features}], "
                 f"got {self.n_informative}"
             )
+        if self.seed < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
         for name in ("class_separation", "noise_std"):
             if not math.isfinite(getattr(self, name)):
                 raise DatasetError(f"{name} must be finite, got {getattr(self, name)}")

@@ -49,7 +49,10 @@ from .rank import MiScores, check_swarm_size, seed_masks
 ASYNCHRONOUS = "asynchronous"
 SYNCHRONOUS = "synchronous"
 
-# all-zero masks are never eligible for a personal or global best
+# fitness of an all-zero mask: below that of every non-empty mask, but
+# above the -inf a best starts at, so an all-zero initial mask becomes its
+# particle's personal best, and the global best if every initial mask is
+# all-zero; a later all-zero mask never replaces a best
 EMPTY_MASK_FITNESS = -1.0
 
 BRUTE_FORCE_MAX_FEATURES = 20
@@ -101,18 +104,10 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class BaselineConfig(PsoConfig):
-    """Conventional binary PSO settings: cognitive/social weights and velocity clamp."""
+    """Settings that run the conventional binary PSO baseline.
 
-    c1: float = 2.0
-    c2: float = 2.0
-    v_clamp: float = 4.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
-        if self.v_clamp <= 0:
-            raise ValueError(f"v_clamp must be positive, got {self.v_clamp}")
+    Its coefficients are the module constants ``C1``, ``C2`` and ``V_CLAMP``.
+    """
 
 
 @dataclass
@@ -124,7 +119,8 @@ class SwarmState:
     to particle i.  Positions are 0/1 int8; the XOR optimizer stores
     velocity as 0/1 int8, the baseline as real-valued float64.  The
     global best never worsens and re-evaluating ``gbest_position``
-    reproduces ``gbest_fitness`` exactly.
+    reproduces ``gbest_fitness`` exactly.  A best may be an all-zero mask
+    at ``EMPTY_MASK_FITNESS`` when it comes from the initial masks.
     """
 
     position: np.ndarray
@@ -189,10 +185,11 @@ def inertia_at(iteration: int, config: PsoConfig) -> float:
 def fitness(accuracy: float, selected: int, total: int, threshold: float) -> float:
     """Two-phase particle score.
 
-    Empty selections get the sentinel -1 so they can never become a best.
-    Below the threshold the score is the accuracy itself; at or above it the
-    score is ``2 - selected/total``, which exceeds 1 and therefore dominates
-    every sub-threshold particle while rewarding smaller subsets.
+    Empty selections get the sentinel -1, below every non-empty mask's
+    score (see ``EMPTY_MASK_FITNESS``).  Below the threshold the score is
+    the accuracy itself; at or above it the score is ``2 - selected/total``,
+    which exceeds 1 and therefore dominates every sub-threshold particle
+    while rewarding smaller subsets.
     """
     if selected == 0:
         return EMPTY_MASK_FITNESS
@@ -280,6 +277,13 @@ def position_update(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(x, v).astype(np.int8)
 
 
+# the baseline's cognitive and social weights and velocity clamp, the usual
+# values of Kennedy & Eberhart's binary PSO
+C1 = 2.0
+C2 = 2.0
+V_CLAMP = 4.0
+
+
 def baseline_move(
     x: np.ndarray,
     v: np.ndarray,
@@ -287,22 +291,17 @@ def baseline_move(
     gbest: np.ndarray,
     w: float,
     u: np.ndarray,
-    config: BaselineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid-transfer move: the next real velocity and the resampled position.
 
-    Per bit: ``V' = w*V + c1*R1*(Pbest - X) + c2*R2*(Gbest - X)`` with
-    R1, R2 ~ Uniform(0, 1), clamped to ``[-v_clamp, v_clamp]``; the new
+    Per bit: ``V' = w*V + C1*R1*(Pbest - X) + C2*R2*(Gbest - X)`` with
+    R1, R2 ~ Uniform(0, 1), clamped to ``[-V_CLAMP, V_CLAMP]``; the new
     position bit is 1 with probability ``sigmoid(V')``.  Shapes as in
     :func:`xor_velocity_update`, with three uniform columns: R1, R2 and the
     position-sampling uniform.
     """
-    vel = (
-        w * v
-        + config.c1 * u[..., 0] * (pbest - x)
-        + config.c2 * u[..., 1] * (gbest - x)
-    )
-    np.clip(vel, -config.v_clamp, config.v_clamp, out=vel)
+    vel = w * v + C1 * u[..., 0] * (pbest - x) + C2 * u[..., 1] * (gbest - x)
+    np.clip(vel, -V_CLAMP, V_CLAMP, out=vel)
     return vel, (u[..., 2] < sigmoid(vel)).astype(np.int8)
 
 
@@ -488,12 +487,9 @@ def run_baseline_bpso(
     """
     if not isinstance(config, BaselineConfig):
         raise TypeError("run_baseline_bpso requires a BaselineConfig")
-
-    def move(x, v, pbest, gbest, w, u):
-        return baseline_move(x, v, pbest, gbest, w, u, config)
-
     return _run_swarm(
-        split, config, initial_masks, move, np.float64, 3, rng, workers, on_record
+        split, config, initial_masks, baseline_move, np.float64, 3, rng, workers,
+        on_record,
     )
 
 

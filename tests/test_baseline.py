@@ -12,6 +12,7 @@ from xorpso import (
     run_xor_pso,
     sigmoid,
 )
+from xorpso.swarm import C1, C2, V_CLAMP
 
 
 # --- transfer function ----------------------------------------------------
@@ -36,19 +37,10 @@ def test_sigmoid_symmetry_and_monotonicity():
 # --- config ---------------------------------------------------------------
 
 def test_baseline_defaults():
-    config = BaselineConfig()
-    assert config.c1 == 2.0
-    assert config.c2 == 2.0
-    assert config.v_clamp == 4.0
+    assert (C1, C2, V_CLAMP) == (2.0, 2.0, 4.0)
 
 
 def test_baseline_config_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(c1=0.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(c2=-1.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(v_clamp=0.0)
     with pytest.raises(ValueError):
         BaselineConfig(population=0)
 
@@ -90,30 +82,31 @@ def test_position_resampled_through_sigmoid(fixed_rng_cls, tiny_split):
 
 
 def test_velocity_clamped_exactly(fixed_rng_cls, duplicate_column_split):
-    # particle B sits at [0,1] with gbest [1,0]; c2=10 with R2=1 drives the
-    # raw velocity to [10, -10], which must land exactly on the clamp bound
-    config = BaselineConfig(
-        population=2, iterations=1, knn=KnnConfig(k=1), c2=10.0
-    )
-    rng = fixed_rng_cls(
-        [
-            [  # one (P, n, 3) block for the iteration
-                [[0.5, 0.5, 0.99], [0.5, 0.5, 0.99]],  # A: stays put at 0 vel
-                [[0.0, 1.0, 0.5], [0.0, 1.0, 0.5]],  # B: raw vel [10, -10]
-            ]
-        ]
-    )
-    captured = {}
+    # particle B sits at [0,1] with gbest [1,0]; R1=0 and R2=1 add
+    # C2*(gbest - x) = [2, -2] each iteration, and inertia 1 carries the
+    # velocity to [4, -4] and then to a raw [6, -6], which must land exactly
+    # on the clamp bound
+    config = BaselineConfig(population=2, iterations=3, knn=KnnConfig(k=1))
+    # A stays at [1,0] with zero velocity: u < sigmoid(0) keeps bit 0, not bit 1
+    stay_a = [[0.5, 0.5, 0.01], [0.5, 0.5, 0.99]]
+
+    def block(b_sample):
+        return [stay_a, [[0.0, 1.0, b_sample[0]], [0.0, 1.0, b_sample[1]]]]
+
+    # B stays at [0,1] for two iterations: 0.99 >= sigmoid(4) clears bit 0,
+    # 0.01 < sigmoid(-4) sets bit 1
+    rng = fixed_rng_cls([block([0.99, 0.01]), block([0.99, 0.01]), block([0.5, 0.5])])
+    velocities, positions = [], []
 
     def grab(record, state):
-        captured["velocity"] = state.velocity[1].copy()
-        captured["position"] = state.position[1].copy()
+        velocities.append(list(state.velocity[1]))
+        positions.append(list(state.position[1]))
 
     masks = [np.array([1, 0], dtype=np.int8), np.array([0, 1], dtype=np.int8)]
     run_baseline_bpso(duplicate_column_split, config, masks, rng=rng, on_record=grab)
-    assert list(captured["velocity"]) == [4.0, -4.0]
+    assert velocities == [[2.0, -2.0], [4.0, -4.0], [4.0, -4.0]]
     # sampling: u=0.5 < sigmoid(4) sets the bit, 0.5 < sigmoid(-4) does not
-    assert list(captured["position"]) == [1, 0]
+    assert positions == [[0, 1], [0, 1], [1, 0]]
 
 
 # --- driver invariants ----------------------------------------------------
@@ -135,7 +128,7 @@ def test_baseline_invariants(synth_split, mode):
     def check(record, state):
         assert set(np.unique(state.position)) <= {0, 1}
         assert state.velocity.dtype == np.float64
-        assert np.all(np.abs(state.velocity) <= config.v_clamp)
+        assert np.all(np.abs(state.velocity) <= V_CLAMP)
         acc, fit = evaluate_particle(state.gbest_position, split, config)
         assert fit == record.gbest_fitness
         assert acc == record.gbest_accuracy

@@ -92,6 +92,15 @@ def test_parse_synth_errors():
         parse_synth("n=forty,f=5,inf=2")
 
 
+def test_negative_synth_seed_is_named_in_one_error_line(tmp_path, capsys):
+    spec = "n=10,f=3,inf=1,seed=-1"
+    code = main(["synth-gen", "--synth", spec, "--out", str(tmp_path / "synth")])
+    assert code == 1
+    assert _one_error_line(capsys) == (
+        f"error: synth spec {spec!r}: seed must be >= 0, got -1\n")
+    assert not (tmp_path / "synth").exists()
+
+
 # --- RunConfig ------------------------------------------------------------
 
 def test_run_config_round_trips_through_dict():
@@ -214,6 +223,19 @@ def test_workers_with_oracle_is_one_error_line(tmp_path, capsys):
     err = _one_error_line(capsys)
     assert "workers=4" in err
     assert "oracle" in err
+
+
+def test_compare_takes_an_oracle_config_with_workers(tmp_path, monkeypatch):
+    # compare never runs the oracle, so the oracle's workers rule is not its own
+    monkeypatch.delenv("XORPSO_SEED", raising=False)
+    oracle = tmp_path / "oracle"
+    assert main(["select", "--synth", SMALL, "--optimizer", "oracle",
+                 "--out", str(oracle)]) == 0
+    code = main(["compare", "--config", str(oracle / "result.json"),
+                 "--population", "6", "--iterations", "2", "--workers", "2",
+                 "--update-mode", "synchronous", "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    assert (tmp_path / "cmp" / "summary.csv").is_file()
 
 
 def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):

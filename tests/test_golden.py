@@ -256,9 +256,8 @@ def test_xor_move_on_matrix_equals_rows(swarm):
 @given(_swarms(columns=3))
 def test_baseline_move_on_matrix_equals_rows(swarm):
     x, pbest, gbest, v, u, w = swarm
-    config = BaselineConfig()
-    vel, pos = baseline_move(x, v, pbest, gbest, w, u, config)
+    vel, pos = baseline_move(x, v, pbest, gbest, w, u)
     for i in range(x.shape[0]):
-        row_vel, row_pos = baseline_move(x[i], v[i], pbest[i], gbest, w, u[i], config)
+        row_vel, row_pos = baseline_move(x[i], v[i], pbest[i], gbest, w, u[i])
         assert np.array_equal(vel[i], row_vel)
         assert np.array_equal(pos[i], row_pos)

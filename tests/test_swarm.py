@@ -627,6 +627,25 @@ def test_lone_particle_is_a_fixed_point(synth_split):
     assert len({r.gbest_fitness for r in trace}) == 1
 
 
+def test_all_zero_initial_masks_are_the_bests_of_the_run(synth_split):
+    # -1 beats the -inf a best starts at, so every all-zero initial mask
+    # becomes its particle's personal best; with zero disparities and zero
+    # velocity no particle moves, so the run ends on an empty global best
+    split = synth_split(n_samples=40, n_features=6, n_informative=2)
+    config = PsoConfig(population=3, iterations=1)
+    pbests = []
+    best, trace = run_xor_pso(
+        split, config, np.zeros((3, 6), dtype=np.int8), rng=np.random.default_rng(0),
+        on_record=lambda record, state: pbests.append(
+            (state.pbest_fitness.copy(), state.pbest_position.copy())),
+    )
+    pbest_fitness, pbest_position = pbests[0]
+    assert list(pbest_fitness) == [-1.0] * 3
+    assert not pbest_position.any()
+    assert (trace[-1].gbest_fitness, trace[-1].gbest_selected) == (-1.0, 0)
+    assert not best.any()
+
+
 # --- evaluate_particle ----------------------------------------------------
 
 def test_evaluate_composes_accuracy_and_fitness(tiny_split):

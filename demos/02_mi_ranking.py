@@ -37,7 +37,7 @@ def main():
     # a fifth of the population is seeded: the top-quarter MI features are
     # forced on and the rest stay sparse; the remainder is uniform random
     rng = np.random.default_rng(7)
-    masks = seed_masks(scores, population=10, seeded_fraction=0.2, rng=rng)
+    masks = seed_masks(scores, population=10, rng=rng)
     print("initial population (first 2 masks are MI-seeded):")
     for i, mask in enumerate(masks):
         kind = "seeded" if i < 2 else "random"

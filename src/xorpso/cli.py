@@ -80,7 +80,8 @@ class RunConfig:
     a config key with no flag is rejected.  Swarm and k-NN defaults are the
     library's: ``threshold`` is ``accuracy_threshold`` and ``knn_k`` is
     ``KnnConfig.k``.  The baseline runs at the fixed coefficients and
-    velocity clamp of :mod:`xorpso.swarm` (``C1``, ``C2``, ``V_CLAMP``).
+    velocity clamp of :mod:`xorpso.swarm` (``C1``, ``C2``, ``V_CLAMP``), and
+    MI seeding at the fixed settings of :func:`xorpso.rank.seed_masks`.
     """
 
     data: str | None = None
@@ -94,8 +95,6 @@ class RunConfig:
     knn_k: int = KnnConfig.k
     val_fraction: float = 0.2
     seed: int = DEFAULT_SEED
-    seeded_fraction: float = 0.2
-    top_m: int | None = None
     bins: int = 10
     workers: int = 1
     out: str = "."
@@ -253,9 +252,7 @@ def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path
     """One :func:`run_seeded` run, streaming its trace to ``trace_path``."""
     with TraceWriter(trace_path) as writer:
         return run_seeded(
-            split, scores, swarm_config, seed,
-            seeded_fraction=config.seeded_fraction, top_m=config.top_m,
-            workers=config.workers,
+            split, scores, swarm_config, seed, workers=config.workers,
             on_record=lambda record, state: writer.write(record),
         )
 
@@ -409,8 +406,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--knn-k", type=int, help="k for the k-NN evaluator (odd)")
     parser.add_argument("--val-fraction", type=float, help="validation fraction")
     parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--seeded-fraction", type=float, help="fraction of MI-seeded masks")
-    parser.add_argument("--top-m", type=int, help="top-ranked bits forced on in seeded masks")
     parser.add_argument("--bins", type=int, help="discretization bins for MI")
     parser.add_argument("--workers", type=int, help="evaluation threads (synchronous mode)")
     parser.add_argument(

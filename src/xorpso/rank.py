@@ -44,8 +44,9 @@ def discretize(column, bin_count: int) -> np.ndarray:
     The maximum value lands in the top bin; a constant column maps entirely
     to bin 0.
     """
-    if bin_count < 2:
-        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
+    # float64 holds every bin index up to 2**53, so the int64 cast is exact
+    if not 2 <= bin_count <= 2**53:
+        raise ValueError(f"bin_count must be in [2, 2**53], got {bin_count}")
     col = np.asarray(column, dtype=np.float64)
     if not np.all(np.isfinite(col)):
         raise ValueError("column contains non-finite values")
@@ -112,47 +113,36 @@ def check_swarm_size(population: int, n_features: int) -> None:
         )
 
 
+# the share of the population that MI seeding biases toward the top
+# quarter of the features
+SEEDED_FRACTION = 0.2
+
+
 def seed_masks(
-    scores: MiScores,
-    population: int,
-    seeded_fraction: float = 0.2,
-    top_m: int | None = None,
-    *,
-    rng: np.random.Generator,
+    scores: MiScores, population: int, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Build the initial particle positions, part MI-seeded, part uniform.
 
     Returns one ``(population, n)`` int8 array of 0/1 bits, row i for mask i.
 
-    ``round(population * seeded_fraction)`` masks come first: the ``top_m``
-    highest-MI features are forced on and every other bit is Bernoulli(0.1),
-    keeping seeded particles sparse.  The remaining masks are uniform
-    Bernoulli(0.5).  Any all-zero mask is repaired by switching on its
-    single highest-MI bit, so no emitted mask is empty.
+    ``round(population * SEEDED_FRACTION)`` masks come first, rounding half
+    up: the ``max(1, n // 4)`` highest-MI features are forced on and every
+    other bit is Bernoulli(0.1), keeping seeded particles sparse.  The
+    remaining masks are uniform Bernoulli(0.5).  Any all-zero mask is
+    repaired by switching on its single highest-MI bit, so no emitted mask
+    is empty.
 
-    Parameters
-    ----------
-    top_m : int, optional
-        Defaults to a quarter of the feature count (at least 1).
-    rng : numpy Generator
-        Draw source, required; one ``(population, n)`` uniform block is
-        consumed, row i for mask i, which is the same stream as one
-        length-n draw per mask in emission order.
+    ``rng`` is required; one ``(population, n)`` uniform block is consumed,
+    row i for mask i, which is the same stream as one length-n draw per
+    mask in emission order.
     """
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
-    if not 0.0 <= seeded_fraction <= 1.0:
-        raise ValueError(f"seeded_fraction must be in [0, 1], got {seeded_fraction}")
     n = scores.feature_count
     check_swarm_size(population, n)
-    if top_m is None:
-        top_m = max(1, n // 4)
-    if not 1 <= top_m <= n:
-        raise ValueError(f"top_m must be in [1, {n}], got {top_m}")
-
-    n_seeded = int(population * seeded_fraction + 0.5)
+    n_seeded = int(population * SEEDED_FRACTION + 0.5)
     bit_rate = np.where(np.arange(population) < n_seeded, 0.1, 0.5)
     masks = (rng.random((population, n)) < bit_rate[:, None]).astype(np.int8)
-    masks[:n_seeded, scores.ranking()[:top_m]] = 1
+    masks[:n_seeded, scores.ranking()[: max(1, n // 4)]] = 1
     masks[~masks.any(axis=1), np.argmax(scores.scores)] = 1
     return masks

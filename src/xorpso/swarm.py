@@ -34,6 +34,7 @@ those generators.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
@@ -366,6 +367,8 @@ def _run_swarm(
     check_swarm_size(config.population, n)
     position = _validate_initial_masks(initial_masks, config, n)
     synchronous = config.update_mode == SYNCHRONOUS
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and not synchronous:
         raise ValueError(
             f"workers={workers} needs update_mode={SYNCHRONOUS!r}; "
@@ -374,7 +377,10 @@ def _run_swarm(
     population = config.population
     block = population if synchronous else 1
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # threads beyond the cores only compete with each other and with BLAS,
+    # and each keeps its own k-NN scratch
+    threads = min(workers, os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         state = SwarmState(
             position=position,
@@ -461,9 +467,9 @@ def run_xor_pso(
     Velocities start at all-zero, the initial population is evaluated before
     iteration 0, and personal/global bests only move on strictly greater
     fitness.  ``on_record(record, state)``, when given, fires after every
-    iteration.  ``workers`` parallelizes fitness evaluations in synchronous
-    mode only (more than one worker in asynchronous mode is an error);
-    results do not depend on it.
+    iteration.  ``workers`` (>= 1) parallelizes fitness evaluations in
+    synchronous mode only (more than one worker in asynchronous mode is an
+    error) on at most ``os.cpu_count()`` threads; results do not depend on it.
     """
     return _run_swarm(
         split, config, initial_masks, _xor_move, np.int8, 2, rng, workers, on_record
@@ -499,8 +505,6 @@ def run_seeded(
     config: PsoConfig,
     seed: int,
     *,
-    seeded_fraction: float = 0.2,
-    top_m: int | None = None,
     workers: int = 1,
     on_record=None,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
@@ -508,9 +512,11 @@ def run_seeded(
 
     ``SeedSequence(seed).spawn(3)`` gives the seeding, XOR and baseline
     streams, in that order.  :func:`~xorpso.rank.seed_masks` draws the masks
-    from the seeding stream, so both optimizers start from the same masks;
-    a :class:`BaselineConfig` runs :func:`run_baseline_bpso` on the baseline
-    stream, any other config runs :func:`run_xor_pso` on the XOR stream.
+    from the seeding stream at its fixed settings (a fifth of the population
+    seeded, the top quarter of the features on), so both optimizers start
+    from the same masks; a :class:`BaselineConfig` runs
+    :func:`run_baseline_bpso` on the baseline stream, any other config runs
+    :func:`run_xor_pso` on the XOR stream.
     ``scores`` come from the caller, so one MI scoring serves every run.
     """
     check_swarm_size(config.population, split.feature_count)
@@ -518,7 +524,7 @@ def run_seeded(
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(seed).spawn(3)
     )
-    masks = seed_masks(scores, config.population, seeded_fraction, top_m, rng=seeding)
+    masks = seed_masks(scores, config.population, rng=seeding)
     if isinstance(config, BaselineConfig):
         runner, rng = run_baseline_bpso, baseline_rng
     else:

@@ -115,16 +115,17 @@ def test_run_config_defaults_are_the_library_defaults():
     assert parse_synth("n=40,f=5,inf=2") == SynthSpec(40, 5, 2)
     # the defaults RunConfig still writes out itself
     run_defaults = inspect.signature(run_seeded).parameters
-    for name in ("seeded_fraction", "top_m", "workers"):
-        assert getattr(config, name) == run_defaults[name].default, name
+    assert config.workers == run_defaults["workers"].default
     assert config.bins == inspect.signature(score_features).parameters["bin_count"].default
     label_default = inspect.signature(load_dataset).parameters["label_column"].default
     assert config.label_column == label_default
 
 
 def test_run_config_rejects_unknown_keys():
-    with pytest.raises(CliError, match="unknown config key.*typo"):
-        RunConfig.from_dict({"typo": 1})
+    # an older result.json may still hold seeded_fraction or top_m
+    for key in ("typo", "seeded_fraction", "top_m"):
+        with pytest.raises(CliError, match=f"unknown config key.*{key}"):
+            RunConfig.from_dict({key: 1})
 
 
 def test_every_run_config_field_is_a_select_flag():
@@ -151,7 +152,7 @@ def test_run_config_checks_value_types():
         RunConfig.from_dict({"label_column": None})
     # an int is a valid float, and null is valid where the field allows it
     assert RunConfig.from_dict({"threshold": 1}).threshold == 1
-    assert RunConfig.from_dict({"top_m": None, "data": None}).top_m is None
+    assert RunConfig.from_dict({"data": None}).data is None
 
 
 def _one_error_line(capsys) -> str:
@@ -205,7 +206,8 @@ def test_fuzzed_bad_config_file_is_one_error_line(entries):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--bins", "1"), ("--seeded-fraction", "1.5")])
+# 2**63 bins would overflow the int64 bin index
+@pytest.mark.parametrize("flag,value", [("--bins", "1"), ("--bins", str(2**63))])
 def test_bad_seeding_setting_is_one_error_line(tmp_path, capsys, flag, value):
     assert _select(tmp_path, flag, value) == 1
     assert f"got {value}" in _one_error_line(capsys)
@@ -253,9 +255,9 @@ def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
     [
         pytest.param(["select", "--population", "0"], "population", id="select"),
         pytest.param(["compare", "--population", "0"], "population", id="compare"),
-        pytest.param(["select", "--seeded-fraction", "1.5"], "seeded_fraction",
-                     id="seeded-fraction"),
-        pytest.param(["select", "--top-m", "99"], "top_m", id="top-m"),
+        # beyond 2**53 bins the scores would be wrong: no mi.csv is written
+        pytest.param(["mi-report", "--bins", "100000000000000000000"],
+                     "got 100000000000000000000", id="mi-report-bins"),
         pytest.param(["select", "--knn-k", "41"], "k=41", id="knn-k"),
         # the oracle rejects the feature count only after the data is scored
         pytest.param(["select", "--optimizer", "oracle", "--synth", "n=50,f=25,inf=3"],

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -251,6 +253,38 @@ def test_workers_in_asynchronous_mode_is_rejected_before_evaluation(
             tiny_split, config, [np.array([1, 0], dtype=np.int8)],
             rng=np.random.default_rng(0), workers=2,
         )
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+@pytest.mark.parametrize("optimizer", ["xor", "baseline"])
+def test_workers_below_one_is_rejected_before_evaluation(
+    tiny_split, monkeypatch, optimizer, mode, workers
+):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before rejecting the settings")
+
+    monkeypatch.setattr(xorpso.swarm, "evaluate_particle", no_evaluation)
+    cls = BaselineConfig if optimizer == "baseline" else PsoConfig
+    runner = run_baseline_bpso if optimizer == "baseline" else run_xor_pso
+    config = cls(population=1, iterations=1, knn=KnnConfig(k=1), update_mode=mode)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}$"):
+        runner(tiny_split, config, [np.array([1, 0], dtype=np.int8)],
+               rng=np.random.default_rng(0), workers=workers)
+
+
+def test_synchronous_pool_starts_at_most_one_thread_per_core(synth_split):
+    # each pool thread keeps its own k-NN scratch, so workers far above the
+    # core count must not start a thread per particle
+    split = synth_split(n_samples=60, n_features=6, n_informative=2)
+    config = PsoConfig(population=16, iterations=3, update_mode="synchronous")
+    masks = _random_masks(np.random.default_rng(4), 16, 6)
+    before = threading.active_count()
+    pool_threads = []
+    run_xor_pso(split, config, masks, rng=np.random.default_rng(5), workers=10**6,
+                on_record=lambda record, state: pool_threads.append(
+                    threading.active_count() - before))
+    assert max(pool_threads) <= (os.cpu_count() or 1)
 
 
 # --- driver invariants ----------------------------------------------------
@@ -551,8 +585,8 @@ def _without_elapsed(trace):
 @pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
 @pytest.mark.parametrize("optimizer", ["xor", "baseline"])
 def test_run_seeded_equals_the_explicit_stream_sequence(synth_split, optimizer, mode):
-    # on this instance every case's trace depends on which stream drives it
-    # and on the seeding settings, so a swapped stream or a dropped setting shows
+    # on this instance every case's trace depends on which stream drives it,
+    # so a swapped stream shows
     split = synth_split(n_samples=80, n_features=16, n_informative=3)
     scores = score_features(split.train)
     cls = BaselineConfig if optimizer == "baseline" else PsoConfig
@@ -562,14 +596,14 @@ def test_run_seeded_equals_the_explicit_stream_sequence(synth_split, optimizer, 
             np.random.Generator(np.random.PCG64(child))
             for child in np.random.SeedSequence(seed).spawn(3)
         )
-        masks = seed_masks(scores, 6, seeded_fraction=0.5, top_m=2, rng=seeding)
+        masks = seed_masks(scores, 6, rng=seeding)
         if optimizer == "baseline":
             best, trace = run_baseline_bpso(split, config, masks, rng=baseline_rng)
         else:
             best, trace = run_xor_pso(split, config, masks, rng=xor_rng)
         seen = []
         got_best, got_trace = run_seeded(
-            split, scores, config, seed, seeded_fraction=0.5, top_m=2,
+            split, scores, config, seed,
             on_record=lambda record, state: seen.append(record),
         )
         assert np.array_equal(got_best, best)

@@ -38,32 +38,99 @@ class MiScores:
         return np.argsort(-self.scores, kind="stable")
 
 
-def discretize(column, bin_count: int) -> np.ndarray:
-    """Equal-width binning of a real vector over [min, max].
+def discretize(values, bin_count: int) -> np.ndarray:
+    """Equal-width binning of each column of a real array over its [min, max].
 
-    The maximum value lands in the top bin; a constant column maps entirely
-    to bin 0.
+    A 1-D ``values`` is one column.  The maximum value lands in the top bin;
+    a constant column maps entirely to bin 0.  A column whose top product
+    ``(max - min) * bin_count`` overflows is binned with every operand
+    scaled by 2**-56 first, which keeps that product finite; every other
+    column keeps the unscaled expression bit for bit.
     """
     # float64 holds every bin index up to 2**53, so the int64 cast is exact
     if not 2 <= bin_count <= 2**53:
         raise ValueError(f"bin_count must be in [2, 2**53], got {bin_count}")
-    col = np.asarray(column, dtype=np.float64)
-    if not np.all(np.isfinite(col)):
+    x = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
         raise ValueError("column contains non-finite values")
-    lo = col.min()
-    hi = col.max()
-    if hi == lo:
-        return np.zeros(col.shape[0], dtype=np.int64)
-    idx = np.floor((col - lo) * bin_count / (hi - lo)).astype(np.int64)
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    with np.errstate(over="ignore"):
+        # scaling by a power of two changes no rounding above the subnormals,
+        # and at 2**-56 even (max - min) * 2**53 stays below a quarter of the
+        # largest float
+        scale = np.where(np.isfinite((hi - lo) * bin_count), 1.0, 2.0**-56)
+    lo = lo * scale
+    span = hi * scale - lo
+    # a constant column has every x - lo == 0, so any nonzero span bins it at 0
+    span = np.where(span == 0, 1.0, span)
+    idx = np.floor((x * scale - lo) * bin_count / span).astype(np.int64)
     return np.clip(idx, 0, bin_count - 1)
+
+
+def _distinct_codes(values) -> tuple[np.ndarray, int]:
+    """Each value's index among the sorted distinct values, and their count."""
+    _, codes = np.unique(np.asarray(values), return_inverse=True)
+    return codes, int(codes.max()) + 1
+
+
+def _dense_ranks(codes: np.ndarray) -> np.ndarray:
+    """Each code's index among its column's sorted distinct codes."""
+    order = np.argsort(codes, axis=0)
+    ranked = np.take_along_axis(codes, order, axis=0)
+    steps = np.zeros(codes.shape, dtype=np.int64)
+    steps[1:] = ranked[1:] != ranked[:-1]
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0), axis=0)
+    return ranks
+
+
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum each run of ``lengths[k]`` consecutive rows of ``values``.
+
+    Runs of one length are stacked and summed in one call, which adds each
+    run in the order numpy gives a lone array of that length.
+    """
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty((lengths.shape[0],) + values.shape[1:])
+    for length in np.unique(lengths):
+        runs = np.flatnonzero(lengths == length)
+        out[runs] = values[starts[runs, None] + np.arange(length)].sum(axis=1)
+    return out
+
+
+def _column_mi(bins: np.ndarray, width: int, classes: np.ndarray, class_count: int) -> np.ndarray:
+    """Mutual information of every column of ``bins`` against ``classes``, in nats.
+
+    ``bins`` is ``(n, columns)`` with codes in ``[0, width)``.  One bincount
+    counts every column's joint (bin, class) table; bins that no row holds
+    are dropped, so a column's table has one row per distinct code, in code
+    order.  Probabilities are empirical frequencies; cells with zero joint
+    probability contribute nothing.  Each column's terms are summed in cell
+    order, as one sum, and the result is clamped at zero to absorb sub-1e-15
+    rounding in the log terms.
+    """
+    n, columns = bins.shape
+    rows = np.arange(columns) * width + bins
+    cells = (rows * class_count + classes[:, None]).ravel()
+    counts = np.bincount(cells, minlength=columns * width * class_count)
+    held = np.flatnonzero(np.bincount(rows.ravel(), minlength=columns * width))
+    joint = counts.reshape(columns * width, class_count).take(held, axis=0) / n
+    rows_per_column = np.bincount(held // width, minlength=columns)
+    px = joint.sum(axis=1)
+    py = _run_sums(joint, rows_per_column)
+    i, j = np.divmod(np.flatnonzero(joint), class_count)
+    column = np.repeat(np.arange(columns), rows_per_column)[i]
+    p = joint[i, j]
+    terms = p * (np.log(p) - np.log(px[i]) - np.log(py[column, j]))
+    return np.maximum(_run_sums(terms, np.bincount(column, minlength=columns)), 0.0)
 
 
 def mutual_information(x, y) -> float:
     """Mutual information between two discrete vectors, in nats.
 
-    Probabilities are empirical frequencies; cells with zero joint
-    probability contribute nothing.  The result is clamped at zero to
-    absorb sub-1e-15 rounding in the log terms.
+    The one-column case of the formula ``score_features`` applies to every
+    column; the result is clamped at zero.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -71,25 +138,34 @@ def mutual_information(x, y) -> float:
         raise ValueError(f"x and y must be equal-length vectors, got {x.shape} and {y.shape}")
     if x.size == 0:
         raise ValueError("cannot compute mutual information of empty vectors")
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
-    nx = int(xi.max()) + 1
-    ny = int(yi.max()) + 1
-    joint = np.bincount(xi * ny + yi, minlength=nx * ny).reshape(nx, ny) / x.size
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    i, j = np.nonzero(joint)
-    p = joint[i, j]
-    terms = p * (np.log(p) - np.log(px[i]) - np.log(py[j]))
-    return max(0.0, float(terms.sum()))
+    xi, x_count = _distinct_codes(x)
+    return float(_column_mi(xi[:, None], x_count, *_distinct_codes(y))[0])
+
+
+# score_features takes as many columns at a time as fit this many (row,
+# column) cells and this many joint-table cells, and at least one, so its
+# memory grows with neither the feature count nor the bin count
+BLOCK_CELLS = 2**16
 
 
 def score_features(train: FeatureDataset, bin_count: int = 10) -> MiScores:
-    """Score every feature: discretize it, then take MI against the labels."""
-    scores = np.empty(train.feature_count, dtype=np.float64)
-    for j in range(train.feature_count):
-        binned = discretize(train.features[:, j], bin_count)
-        scores[j] = mutual_information(binned, train.labels)
+    """Score every feature: discretize it, then take MI against the labels.
+
+    Columns are scored a block at a time, each block binned by one array
+    expression and counted by one bincount, with the scores of one table
+    per column bit for bit.
+    """
+    classes, class_count = _distinct_codes(train.labels)
+    n, features = train.features.shape
+    # no column holds more than n distinct bins: past n bins, rank them
+    width = min(bin_count, n)
+    block = max(1, BLOCK_CELLS // max(n, width * class_count))
+    scores = np.empty(features, dtype=np.float64)
+    for start in range(0, features, block):
+        bins = discretize(train.features[:, start:start + block], bin_count)
+        if bin_count > n:
+            bins = _dense_ranks(bins)
+        scores[start:start + block] = _column_mi(bins, width, classes, class_count)
     return MiScores(scores=scores)
 
 

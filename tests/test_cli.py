@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import statistics
 import tempfile
@@ -22,6 +23,7 @@ from xorpso import (
     brute_force_best,
     generate_synthetic,
     load_dataset,
+    mutual_information,
     read_trace,
     run_seeded,
     save_dataset,
@@ -828,6 +830,31 @@ def test_mi_report_scores_constant_column_zero(tmp_path):
     by_index = {int(r.split(",")[1]): float(r.split(",")[3]) for r in rows}
     assert by_index[0] == 0.0
     assert by_index[1] > 0.5
+
+
+# a column whose binning product overflows float64 is binned at a scale that
+# cannot overflow: the exact score, and no numpy warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows,bins,want", [
+    # max - min overflows; f0's bins are [0, 9, 5, 5, 5, 5], MI ln(2)/3 up to
+    # rounding, and f1 gets one bin per row
+    (["-1e308,1,0", "1e308,2,1", "0,3,0", "5,4,1", "1,5,0", "2,6,1"], 10,
+     {0: mutual_information([0, 9, 5, 5, 5, 5], [0, 1, 0, 1, 0, 1]),
+      1: math.log(2)}),
+    # (max - min) * bins overflows; every row gets a bin of its own
+    (["0,0", "1e300,1", "5e299,0", "2e299,1"], 2**53, {0: math.log(2)}),
+], ids=["range-overflow", "product-overflow"])
+def test_mi_report_bins_columns_whose_binning_overflows(tmp_path, rows, bins, want):
+    path = tmp_path / "wide.csv"
+    header = ",".join(f"f{j}" for j in range(len(want))) + ",label"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "mi"
+    assert main(["mi-report", "--data", str(path), "--bins", str(bins),
+                 "--out", str(out)]) == 0
+    rows_out = (out / "mi.csv").read_text().splitlines()[1:]
+    assert {int(r.split(",")[1]): r.split(",")[3] for r in rows_out} == {
+        j: repr(score) for j, score in want.items()
+    }
 
 
 # --- synth-gen ------------------------------------------------------------

@@ -21,6 +21,7 @@ from test_acceptance import SMALL_SPEC, SMALL_SPLIT_SEED, WIDE_SPEC, WIDE_SPLIT_
 from xorpso import (
     BaselineConfig,
     PsoConfig,
+    SynthSpec,
     generate_synthetic,
     position_update,
     run_baseline_bpso,
@@ -131,6 +132,36 @@ CASES = [
 def test_trace_matches_golden_digest(prepared, instance, optimizer, mode, seed):
     key = f"{instance}/{optimizer}/{mode}/{seed}"
     assert _golden_run(prepared, instance, optimizer, mode, seed) == GOLDEN[key]
+
+
+# --- MI scores -----------------------------------------------------------
+
+# the trace digests see MI scores only through the seeding ranking, so a
+# 1-ulp drift in a score would pass them; these pin the repr of every score.
+# The instances are the training splits of the three benchmark workloads at
+# 10 bins (validation fraction 0.2) and a 1000-column split at 2**53 bins,
+# where every value of a column gets a bin of its own
+MI_CASES = {
+    "wide_xor": (SynthSpec(400, 64, 8, seed=19), 2, 10),
+    "many_features": (SynthSpec(120, 2000, 20, seed=5), 1, 10),
+    "tall_sync_compare": (SynthSpec(800, 32, 6, class_separation=1.0, seed=11), 3, 10),
+    "n1000_f1000_2**53": (SynthSpec(1000, 1000, 40, seed=0), 0, 2**53),
+}
+MI_GOLDEN = {
+    "wide_xor": "69c46b4450fcce09b137bf10ab0a2221caaccf9edb2f8436c2bda8c21d7c3322",
+    "many_features": "f8058acbb9e8db7f4c872a2baee06255af9cb511adc457bcf735731734ecbb07",
+    "tall_sync_compare": "a3855980e6a08bb64af8960d1f8d97f9001937d3f9015a641a67bbf4f526d982",
+    "n1000_f1000_2**53": "81bb58eec4d933a7f4b1349042b6465a01a3b4811db5f6641ad2f07d21cd114f",
+}
+
+
+@pytest.mark.parametrize("name", MI_CASES)
+def test_mi_scores_match_golden_digest(name):
+    spec, split_seed, bins = MI_CASES[name]
+    split = standardize_split(stratified_split(generate_synthetic(spec), 0.2, split_seed))
+    scores = score_features(split.train, bin_count=bins).scores
+    text = "".join(repr(float(s)) + "\n" for s in scores)
+    assert hashlib.sha256(text.encode()).hexdigest() == MI_GOLDEN[name]
 
 
 # --- CLI output bytes -----------------------------------------------------

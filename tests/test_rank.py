@@ -1,6 +1,7 @@
 """Discretization, mutual information, feature scoring, and population seeding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from xorpso import (
     score_features,
     seed_masks,
 )
-from xorpso.rank import MAX_SWARM_CELLS, check_swarm_size
+from xorpso.rank import BLOCK_CELLS, MAX_SWARM_CELLS, check_swarm_size
 
 
 # --- discretize -----------------------------------------------------------
@@ -66,6 +67,43 @@ def test_discretize_validation():
             discretize(np.array([1.0, 2.0]), bins)
     with pytest.raises(ValueError, match="finite"):
         discretize(np.array([1.0, np.inf]), 4)
+
+
+def test_columns_whose_binning_overflows_are_binned_at_a_smaller_scale():
+    # max - min overflows at any bin count; the product overflows at 2**53
+    assert list(discretize(np.array([-1e308, 1e308, 0, 5, 1, 2]), 10)) == [0, 9, 5, 5, 5, 5]
+    codes = discretize(np.array([0.0, 1e300, 5e299, 2e299]), 2**53)
+    assert list(codes) == [0, 2**53 - 1, 2**52, int(0.2 * 2**53)]
+
+
+@st.composite
+def _matrices(draw):
+    """Real matrices whose columns may be constant, integer-valued, tiny or
+    near the float64 limit, with a bin count from 2 to 2**53."""
+    n = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        values = draw(st.sampled_from([
+            st.just(draw(st.floats(-1e308, 1e308))),
+            st.integers(-3, 3).map(float),
+            st.floats(-1e6, 1e6),
+            st.floats(-1e308, 1e308),
+            st.sampled_from([-1e308, -5e307, 0.0, 1e-300, 5e307, 1e308]),
+        ]))
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    bins = draw(st.sampled_from([2, 3, 10, n + 1, 1000, 2**52 + 1, 2**53]))
+    return np.array(columns).T.reshape(n, len(columns)), bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_discretize_on_a_matrix_equals_one_call_per_column(case):
+    features, bins = case
+    codes = discretize(features, bins)
+    assert codes.shape == features.shape and codes.dtype == np.int64
+    for j in range(features.shape[1]):
+        assert np.array_equal(codes[:, j], discretize(features[:, j], bins))
+    assert codes.min() >= 0 and codes.max() <= bins - 1
 
 
 # --- mutual information ---------------------------------------------------
@@ -164,6 +202,98 @@ def test_mi_scores_validation():
         MiScores(scores=np.array([0.1, -0.2]))
     with pytest.raises(ValueError, match="1-D"):
         MiScores(scores=np.zeros((2, 2)))
+
+
+def _reference_discretize(col, bin_count):
+    """Reference: the 1-D binning expression scoring keeps for finite products."""
+    lo, hi = col.min(), col.max()
+    if hi == lo:
+        return np.zeros(col.shape[0], dtype=np.int64)
+    idx = np.floor((col - lo) * bin_count / (hi - lo)).astype(np.int64)
+    return np.clip(idx, 0, bin_count - 1)
+
+
+def _reference_mi(x, y):
+    """Reference: one joint table for one column, summed in cell order."""
+    _, xi = np.unique(x, return_inverse=True)
+    _, yi = np.unique(y, return_inverse=True)
+    nx = int(xi.max()) + 1
+    ny = int(yi.max()) + 1
+    joint = np.bincount(xi * ny + yi, minlength=nx * ny).reshape(nx, ny) / x.size
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    i, j = np.nonzero(joint)
+    p = joint[i, j]
+    terms = p * (np.log(p) - np.log(px[i]) - np.log(py[j]))
+    return max(0.0, float(terms.sum()))
+
+
+def _reference_scores(dataset, bin_count):
+    """Reference: the per-column loop, one binning and one MI call a column."""
+    return np.array([
+        _reference_mi(_reference_discretize(col, bin_count), dataset.labels)
+        for col in dataset.features.T
+    ])
+
+
+@st.composite
+def _scoring_cases(draw):
+    """Datasets of 1 to 20 classes with non-contiguous label values, and
+    constant, integer-valued and real columns, at bin counts on both sides
+    of the row count."""
+    n = draw(st.integers(2, 60))
+    class_values = draw(st.lists(st.integers(0, 10**6), min_size=1,
+                                 max_size=20, unique=True))
+    labels = draw(st.lists(st.sampled_from(class_values), min_size=n, max_size=n))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = draw(st.sampled_from([
+            st.just(draw(st.floats(-1e6, 1e6))),
+            st.integers(-4, 4).map(float),
+            st.floats(-1e6, 1e6),
+        ]))
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    bins = draw(st.sampled_from(
+        [b for b in (2, 10, n - 1, n, n + 1, 1000, 2**53) if b >= 2]
+    ))
+    features = np.array(columns).T.reshape(n, len(columns))
+    return FeatureDataset(features=features, labels=labels), bins
+
+
+@settings(max_examples=500, deadline=None)
+@given(_scoring_cases())
+def test_score_features_equals_the_per_column_loop(case):
+    dataset, bins = case
+    got = score_features(dataset, bin_count=bins).scores
+    want = _reference_scores(dataset, bins)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    x = _reference_discretize(dataset.features[:, 0], bins)
+    got_one = np.float64(mutual_information(x, dataset.labels))
+    assert got_one.view(np.int64) == np.float64(_reference_mi(x, dataset.labels)).view(np.int64)
+
+
+def test_one_class_scores_equal_the_per_column_loop():
+    # a one-class table is a column: its class sum is numpy's pairwise sum
+    # over every held bin, so a table that kept empty bins would drift
+    rng = np.random.default_rng(8)
+    dataset = FeatureDataset(features=rng.normal(size=(50, 40)), labels=[3] * 50)
+    for bins in (10, 30, 2**53):
+        got = score_features(dataset, bin_count=bins).scores
+        want = _reference_scores(dataset, bins)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_scoring_memory_does_not_grow_with_bin_count():
+    # at 2**53 bins a table as wide as the bin count could never be built, and
+    # one pass over the whole 600 x 800 matrix would hold several 3.7 MiB arrays
+    dataset = generate_synthetic(SynthSpec(600, 800, 20, seed=4))
+    tracemalloc.start()
+    try:
+        score_features(dataset, bin_count=2**53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * BLOCK_CELLS  # 12 float64 arrays of one block
 
 
 # --- seed_masks -----------------------------------------------------------

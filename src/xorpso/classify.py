@@ -65,14 +65,15 @@ def knn_predict(
         Mask length mismatch, or k larger than the training sample count.
     """
     n_val = split.validation.sample_count
-    (predictions,) = _predict_chunks(split, mask, config, None, n_val)
+    ((_, predictions),) = _predict_chunks(split, mask, config, None, n_val)
     return predictions
 
 
 def _predict_chunks(split, mask, config, order, chunk):
-    """Predictions of the validation rows in ``order``, ``chunk`` rows per yield.
+    """Row indices and predictions of the validation rows, ``chunk`` per yield.
 
-    ``order`` None is file order.  Each chunk's distance and selection
+    Rows come in ``order`` (None: file order, indexed by slices), and the
+    indices are file-order rows.  Each chunk's distance and selection
     matrices are row views of this thread's full-size work buffers, so
     chunking allocates nothing new.  The distance step and the selection
     act row by row, so a row's prediction does not depend on its chunk.
@@ -107,7 +108,7 @@ def _predict_chunks(split, mask, config, order, chunk):
         nearest = _nearest_exact(valid[rows], train, config.k, dist, part, chosen)
         votes = split.train.labels[nearest]
         counts = (votes[:, :, None] == classes).sum(axis=1)
-        yield classes[np.argmax(counts, axis=1)]
+        yield rows if order is None else order[rows], classes[np.argmax(counts, axis=1)]
 
 
 def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -252,37 +253,38 @@ def knn_accuracy(
     mask: np.ndarray,
     config: KnnConfig,
     target: int = 0,
-    order: np.ndarray | None = None,
-    missed: np.ndarray | None = None,
+    *,
+    misses: np.ndarray | None = None,
 ) -> float | None:
     """Fraction of validation rows predicted correctly; in [0, 1].
 
-    With a ``target`` (a count of rows), the rows are classified in
-    ``order`` (default: file order), ``CHUNK_ROWS`` at a time, and the
-    evaluation stops, returning None, once the rows already wrong leave
-    fewer than ``target`` that can be right.  A result that is not None is
-    exact whatever the order, since every row is predicted on its own.  A
-    target of 0 never stops and classifies all rows at once.  ``missed``,
-    when given, is a bool array over the validation rows in file order:
-    each visited row is set to whether it was predicted wrong, and rows
-    never visited keep their value.  Raises as :func:`knn_predict`.
+    With a ``target`` (a count of rows), the rows are classified
+    ``CHUNK_ROWS`` at a time, and the evaluation stops, returning None,
+    once the rows already wrong leave fewer than ``target`` that can be
+    right.  A result that is not None is exact whatever the order, since
+    every row is predicted on its own.  A target of 0 never stops and
+    classifies all rows at once.  ``misses``, when given, holds one count
+    per validation row (1-D signed integers, file order): a target visits
+    the rows in ``np.argsort(-misses, kind="stable")`` order (else file
+    order), and each row classified wrong adds 1 to its count.  Threads
+    may share it unlocked, since a lost increment changes only the visit
+    order, never an accuracy.  Raises ValueError on a malformed ``misses``
+    before classifying a row, otherwise as :func:`knn_predict`.
     """
     n_val = split.validation.sample_count
-    if not target:
-        order = None  # never stops, so no order can save time
-    labels = split.validation.labels
-    if order is not None:
-        labels = labels[order]
+    if misses is not None and (not isinstance(misses, np.ndarray)
+                               or misses.dtype.kind != "i" or misses.shape != (n_val,)):
+        raise ValueError(f"misses must be a 1-D signed integer array of length {n_val}")
+    # a target of 0 never stops, so no order can save time
+    order = np.argsort(-misses, kind="stable") if target and misses is not None else None
     allowed = n_val - target  # the most wrong rows that can still reach target
-    chunk = CHUNK_ROWS if target else n_val
     errors = 0
-    for start, predictions in zip(
-        range(0, n_val, chunk), _predict_chunks(split, mask, config, order, chunk)
+    for rows, predictions in _predict_chunks(
+        split, mask, config, order, CHUNK_ROWS if target else n_val
     ):
-        rows = slice(start, start + chunk)
-        wrong = predictions != labels[rows]
-        if missed is not None:
-            missed[rows if order is None else order[rows]] = wrong
+        wrong = predictions != split.validation.labels[rows]
+        if misses is not None:
+            misses[rows] += wrong
         errors += int(np.count_nonzero(wrong))
         if errors > allowed:
             return None

@@ -204,8 +204,8 @@ def evaluate_particle(
     split: SplitDataset,
     config: PsoConfig,
     bar: float | None = None,
-    order: np.ndarray | None = None,
-    missed: np.ndarray | None = None,
+    *,
+    misses: np.ndarray | None = None,
 ) -> tuple[float, float] | None:
     """Validation accuracy and fitness for a mask; (0, -1) for empty masks.
 
@@ -213,7 +213,7 @@ def evaluate_particle(
     validation row is classified.  With a ``bar``, a non-empty mask's
     evaluation stops, returning None, once its fitness can no longer
     exceed ``bar``; when no accuracy could exceed it, every row is
-    classified.  ``order`` and ``missed`` are passed to
+    classified.  ``misses`` is passed to
     :func:`~xorpso.classify.knn_accuracy`.
     """
     n_selected = selected_count(mask)
@@ -231,7 +231,7 @@ def evaluate_particle(
         acc = np.arange(n_val + 1) / n_val
         fit = np.where(acc < threshold, acc, 2.0 - n_selected / n)
         target = int(np.argmax(fit > bar))
-    acc = knn_accuracy(split, mask, config.knn, target, order, missed)
+    acc = knn_accuracy(split, mask, config.knn, target, misses=misses)
     if acc is None:
         return None
     return acc, fitness(acc, n_selected, n, threshold)
@@ -393,12 +393,12 @@ def _run_swarm(
             gbest_accuracy=0.0,
         )
 
-        # misses per validation row over the run; each evaluation visits
-        # the rows most often missed first, so one that cannot beat its
-        # particle's best stops early.  Only the main thread adds to the
-        # counts, in row order, so the order never depends on ``workers``.
+        # misses per validation row over the run; every evaluation visits
+        # the rows most often missed first and adds its misses, so one that
+        # cannot beat its particle's best stops early.  Threads share them
+        # unlocked: with ``workers > 1`` the order, and so the time, may
+        # vary from run to run, but no output does.
         miss_counts = np.zeros(split.validation.sample_count, dtype=np.int64)
-        missed = np.zeros((population, miss_counts.size), dtype=bool)
 
         def evaluate(rows: slice) -> None:
             """Evaluate the current positions of ``rows`` and commit them in row order.
@@ -406,17 +406,14 @@ def _run_swarm(
             An evaluation that stops early (None) could not have changed a best.
             """
             indices = range(population)[rows]
-            order = np.argsort(-miss_counts, kind="stable")
-            missed[rows] = False
             evaluations = (map if pool is None else pool.map)(
                 lambda i: evaluate_particle(
                     state.position[i], split, config, state.pbest_fitness[i],
-                    order, missed[i],
+                    misses=miss_counts,
                 ),
                 indices,
             )
             for i, evaluation in zip(indices, evaluations):
-                miss_counts[missed[i]] += 1
                 if evaluation is not None:
                     state.commit(i, evaluation)
 

@@ -21,6 +21,7 @@ from xorpso import (
     KnnConfig,
     PsoConfig,
     SplitDataset,
+    evaluate_particle,
     knn_accuracy,
     knn_predict,
     run_xor_pso,
@@ -242,33 +243,108 @@ def test_partial_selection_matches_stable_sort(instance):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_early_stopping_count_is_exact_or_below_target(data):
-    # around one chunk of rows; a dataset holds at least two rows, so the
-    # smallest validation set is 2
+    # around one chunk of rows, and several; a dataset holds at least two
+    # rows, so the smallest validation set is 2
     split, mask, k = data.draw(_tie_heavy_instances(
-        n_val=st.sampled_from([2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])))
+        n_val=st.sampled_from([2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                               3 * CHUNK_ROWS + 1])))
     n_val = split.validation.sample_count
     labels = data.draw(st.lists(st.integers(0, 2), min_size=n_val, max_size=n_val))
     split = _make_split(split.train.features, split.train.labels,
                         split.validation.features, labels)
     target = data.draw(st.integers(0, n_val + 1))
-    order = np.array(data.draw(st.permutations(range(n_val))))
+    # few distinct counts, so the visit order is full of ties
+    before = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_val,
+                                         max_size=n_val)), dtype=np.int64)
     wrong = np.array(argsort_predict(split, mask, k)) != split.validation.labels
     full = n_val - np.count_nonzero(wrong)
     config = KnnConfig(k=k)
-    # rows never visited keep this value
-    missed = np.ones(n_val, dtype=bool)
-    got = knn_accuracy(split, mask, config, target, order, missed)
+    misses = before.copy()
+    got = knn_accuracy(split, mask, config, target, misses=misses)
     if got is not None:
         assert got == full / n_val == knn_accuracy(split, mask, config)
-        assert np.array_equal(missed, wrong)
+        assert np.array_equal(misses, before + wrong)
         return
     assert full < target
-    # it stops after the first chunk whose rows leave the target out of reach
+    # the rows most missed before come first, ties in file order; it stops
+    # after the first chunk whose rows leave the target out of reach
+    order = np.argsort(-before, kind="stable")
     ends = [*range(CHUNK_ROWS, n_val, CHUNK_ROWS), n_val]
     visited = next(end for end in ends
                    if np.count_nonzero(wrong[order[:end]]) > n_val - target)
-    assert np.array_equal(missed[order[:visited]], wrong[order[:visited]])
-    assert missed[order[visited:]].all()
+    want = before.copy()
+    want[order[:visited]] += wrong[order[:visited]]
+    assert np.array_equal(misses, want)
+
+
+def _repro_split(synth_split):
+    return synth_split(n_samples=200, n_features=8, n_informative=2,
+                       class_separation=0.5, data_seed=3, split_seed=1)
+
+
+@pytest.mark.parametrize("misses", [
+    np.zeros(39, dtype=np.int64), np.zeros(41, dtype=np.int64),
+    np.zeros((40, 1), dtype=np.int64), np.zeros(40, dtype=bool), np.zeros(40),
+    np.zeros(40, dtype=np.uint64), [0] * 40,
+], ids=["short", "long", "2-D", "bool", "float", "unsigned", "list"])
+def test_malformed_misses_is_rejected_before_any_row(misses, synth_split,
+                                                     monkeypatch):
+    split = _repro_split(synth_split)
+    assert split.validation.sample_count == 40
+    monkeypatch.setattr(xorpso.classify, "cdist", None)  # no row may be classified
+    before = np.copy(misses)
+    with pytest.raises(ValueError, match="misses"):
+        knn_accuracy(split, np.ones(8, dtype=np.int8), KnnConfig(k=5), 1, misses=misses)
+    assert np.array_equal(misses, before)
+
+
+def test_a_visit_order_is_no_positional_argument(synth_split):
+    # a permutation passed where a row order used to go is refused, not
+    # read as counts; the old order 0..34 of 40 rows gave 0.575, not 0.55
+    split, mask, config = _repro_split(synth_split), np.ones(8, dtype=np.int8), KnnConfig(5)
+    assert knn_accuracy(split, mask, config) == 0.55
+    with pytest.raises(TypeError):
+        knn_accuracy(split, mask, config, 1, np.arange(35))
+    with pytest.raises(TypeError):
+        evaluate_particle(mask, split, PsoConfig(), 0.5, np.arange(40))
+
+
+def test_threads_sharing_misses_end_with_exact_counts(synth_split):
+    split = synth_split(n_samples=400, n_features=16, n_informative=4,
+                        data_seed=5, split_seed=1, class_separation=0.8)
+    n_val = split.validation.sample_count
+    assert n_val > CHUNK_ROWS
+    masks = [(np.random.default_rng(t).random(16) < 0.5).astype(np.int8)
+             for t in range(4)]
+    for t, mask in enumerate(masks):
+        mask[t] = 1
+    config = KnnConfig(k=5)
+    wrong = [knn_predict(split, mask, config) != split.validation.labels
+             for mask in masks]
+    # a target of 1 classifies every row here, in chunks, in the order the
+    # shared counts give at the call; a target of 0 takes one chunk
+    assert all(np.count_nonzero(w) < n_val for w in wrong)
+    rounds = 25
+    misses = np.zeros(n_val, dtype=np.int64)
+    start = threading.Barrier(4)
+
+    def work(t):
+        start.wait(timeout=30)
+        for r in range(rounds):
+            knn_accuracy(split, masks[t], config, r % 2, misses=misses)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert np.array_equal(misses, rounds * np.sum(wrong, axis=0))
 
 
 @st.composite
@@ -471,13 +547,13 @@ def test_stopping_evaluation_chunks_reuse_the_full_size_buffers(synth_split):
     mask = np.zeros(32, dtype=np.int8)
     mask[::2] = 1
     config = KnnConfig(k=5)
-    order = np.random.default_rng(0).permutation(160)
-    assert knn_accuracy(split, mask, config, 160, order) is None
+    misses = np.random.default_rng(0).integers(0, 4, 160)
+    assert knn_accuracy(split, mask, config, 160, misses=misses) is None
     tracemalloc.start()
     try:
         # one chunk after another, then stops; no buffer of chunk shape is made
-        assert knn_accuracy(split, mask, config, 1, order) is not None
-        assert knn_accuracy(split, mask, config, 160, order) is None
+        assert knn_accuracy(split, mask, config, 1, misses=misses) is not None
+        assert knn_accuracy(split, mask, config, 160, misses=misses) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -516,8 +592,8 @@ def test_cdist_gets_c_contiguous_columns_in_ordered_chunks(synth_split, cdist_la
     assert n_val > CHUNK_ROWS
     mask = np.zeros(40, dtype=np.int8)
     mask[1::2] = 1
-    order = np.random.default_rng(0).permutation(n_val)
-    knn_accuracy(split, mask, KnnConfig(k=5), 1, order)
+    misses = np.random.default_rng(0).integers(0, 4, n_val)
+    knn_accuracy(split, mask, KnnConfig(k=5), 1, misses=misses)
     assert len(cdist_layouts) > 1
     assert _every_operand_c_contiguous(cdist_layouts)
 

@@ -385,9 +385,9 @@ def test_positions_and_xor_velocities_stay_binary_and_gbest_never_worsens(
 FULL_EVALUATE = xorpso.swarm.evaluate_particle
 
 
-def _full_evaluation(mask, split, config, *rest):
-    """``evaluate_particle`` with every bar, order and miss buffer ignored."""
-    return FULL_EVALUATE(mask, split, config)
+def _full_evaluation(mask, split, config, bar=None, **kwargs):
+    """``evaluate_particle`` with the bar ignored, so every row is classified."""
+    return FULL_EVALUATE(mask, split, config, **kwargs)
 
 
 def _observed_run(runner, split, config, masks, seed, workers=1):
@@ -452,8 +452,8 @@ def test_stopped_evaluations_reach_no_best_trace_or_callback(synth_split, mode):
     config = PsoConfig(population=6, iterations=8, update_mode=mode)
     results = []
 
-    def recording(*args):
-        results.append(FULL_EVALUATE(*args))
+    def recording(*args, **kwargs):
+        results.append(FULL_EVALUATE(*args, **kwargs))
         return results[-1]
 
     with mock.patch.object(xorpso.swarm, "evaluate_particle", recording):
@@ -502,6 +502,34 @@ def test_every_nonempty_mask_reaches_the_wrapped_calls(synth_split, mode, worker
     assert len(cdist_rows) >= len(nonempty)
     # an evaluation stopped early (None) reaches knn_accuracy too
     assert sum(result is None for result in knn_calls) == nonempty.count(None) > 0
+
+
+@pytest.mark.parametrize("mode,workers", [
+    ("asynchronous", 1), ("synchronous", 1), ("synchronous", 2)])
+def test_every_evaluation_of_a_run_updates_one_miss_count_array(synth_split, mode,
+                                                                workers):
+    split, masks = _tall_run_inputs(synth_split)
+    config = PsoConfig(population=6, iterations=5, update_mode=mode)
+    arrays, deltas = [], []
+    inner = xorpso.swarm.knn_accuracy
+
+    def wrapper(*args, misses, **kwargs):
+        before = misses.copy()
+        result = inner(*args, misses=misses, **kwargs)
+        arrays.append(misses)
+        deltas.append(misses - before)
+        return result
+
+    with mock.patch.object(xorpso.swarm, "knn_accuracy", wrapper):
+        run_xor_pso(split, config, masks, rng=np.random.default_rng(0),
+                    workers=workers)
+    assert arrays and all(array is arrays[0] for array in arrays)
+    assert arrays[0].shape == (split.validation.sample_count,)
+    assert arrays[0].sum() > 0
+    if workers == 1:
+        # no other evaluation runs during a call, so each delta is its own
+        assert np.array_equal(np.sum(deltas, axis=0), arrays[0])
+        assert all(delta.min() >= 0 and delta.max() <= 1 for delta in deltas)
 
 
 def test_evaluation_without_a_bar_classifies_every_row(synth_split, monkeypatch):

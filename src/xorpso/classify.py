@@ -238,8 +238,8 @@ def _scratch(shape: tuple[int, int]):
 
     The evaluation's GEMM filter works in them, and reuses them from call
     to call while the shape holds, so it writes into pages it already owns
-    (17 B per entry).  Each thread has its own, so pool threads never
-    share one; none may escape a call.
+    (17 B per entry).  Each calling thread has its own, so threads that
+    evaluate at once never share one; none may escape a call.
     """
     buffers = getattr(_local, "buffers", None)
     if buffers is None or buffers[0].shape != shape:

@@ -96,7 +96,6 @@ class RunConfig:
     val_fraction: float = 0.2
     seed: int = DEFAULT_SEED
     bins: int = 10
-    workers: int = 1
     out: str = "."
     update_mode: str = PsoConfig.update_mode
 
@@ -106,8 +105,6 @@ class RunConfig:
                 f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
                 f"got {self.optimizer!r}"
             )
-        if self.workers < 1:
-            raise CliError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise CliError(f"seed must be >= 0, got {self.seed}")
 
@@ -248,22 +245,22 @@ def _prepare(config: RunConfig) -> tuple[SplitDataset, MiScores]:
     return split, score_features(split.train, bin_count=config.bins)
 
 
-def _traced_run(config: RunConfig, split, scores, swarm_config, seed, trace_path):
-    """One :func:`run_seeded` run, streaming its trace to ``trace_path``."""
+def _traced_run(split, scores, swarm_config, seed, trace_path):
+    """One :func:`run_seeded` run, streaming its trace to ``trace_path``.
+
+    Returns the best mask, the trace and the run's wall time in ms, the
+    initial evaluation included.
+    """
     with TraceWriter(trace_path) as writer:
-        return run_seeded(
-            split, scores, swarm_config, seed, workers=config.workers,
+        started = time.perf_counter()
+        mask, trace = run_seeded(
+            split, scores, swarm_config, seed,
             on_record=lambda record, state: writer.write(record),
         )
+        return mask, trace, (time.perf_counter() - started) * 1000.0
 
 
 def cmd_select(config: RunConfig) -> int:
-    # a rejected setting stops the run before it reads the data
-    if config.workers > 1 and config.optimizer == "oracle":
-        raise CliError(
-            f"workers={config.workers} has no effect with optimizer='oracle', "
-            "which scores one mask at a time"
-        )
     swarm_config = config.swarm_config(config.optimizer)
     split, scores = _prepare(config)
     out_dir = Path(config.out)
@@ -277,12 +274,11 @@ def cmd_select(config: RunConfig) -> int:
         write_atomic(trace_path, "")  # no iterations to trace
         iterations_run = 0
     else:
-        mask, trace = _traced_run(
-            config, split, scores, swarm_config, config.seed, trace_path
+        mask, trace, wall_ms = _traced_run(
+            split, scores, swarm_config, config.seed, trace_path
         )
         final = trace[-1]
         best_fitness, accuracy = final.gbest_fitness, final.gbest_accuracy
-        wall_ms = sum(record.elapsed_ms for record in trace)
         iterations_run = len(trace)
 
     indices = selected_indices(mask)
@@ -320,29 +316,27 @@ def cmd_compare(config: RunConfig, seeds: list[int]) -> int:
     out_dir = Path(config.out)
     for seed in seeds:
         for optimizer, swarm_config in swarm_configs.items():
-            _, trace = _traced_run(
-                config, split, scores, swarm_config, seed,
+            _, trace, wall_ms = _traced_run(
+                split, scores, swarm_config, seed,
                 out_dir / f"trace_{optimizer}_{seed}.jsonl",
             )
-            finals[optimizer].append(trace)
+            finals[optimizer].append((trace[-1], wall_ms))
 
     lines = ["optimizer,runs,median_fitness,median_accuracy,median_selected,mean_wall_ms"]
-    for optimizer, traces in finals.items():
-        last = [trace[-1] for trace in traces]
+    for optimizer, runs in finals.items():
+        last = [final for final, _ in runs]
         median_fitness = statistics.median(r.gbest_fitness for r in last)
         median_accuracy = statistics.median(r.gbest_accuracy for r in last)
         median_selected = statistics.median(r.gbest_selected for r in last)
-        mean_wall = statistics.mean(
-            sum(r.elapsed_ms for r in trace) for trace in traces
-        )
+        mean_wall = statistics.mean(wall_ms for _, wall_ms in runs)
         lines.append(
-            f"{optimizer},{len(traces)},{median_fitness!r},{median_accuracy!r},"
+            f"{optimizer},{len(runs)},{median_fitness!r},{median_accuracy!r},"
             f"{median_selected!r},{mean_wall!r}"
         )
         print(
             f"{optimizer}: median_fitness={median_fitness:.6f} "
             f"median_accuracy={median_accuracy:.4f} "
-            f"median_selected={median_selected:g} over {len(traces)} seed(s)"
+            f"median_selected={median_selected:g} over {len(runs)} seed(s)"
         )
     write_atomic(out_dir / "summary.csv", "\n".join(lines) + "\n")
     print(f"wrote {out_dir / 'summary.csv'}")
@@ -407,7 +401,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--val-fraction", type=float, help="validation fraction")
     parser.add_argument("--seed", type=int, help="run seed")
     parser.add_argument("--bins", type=int, help="discretization bins for MI")
-    parser.add_argument("--workers", type=int, help="evaluation threads (synchronous mode)")
     parser.add_argument(
         "--update-mode",
         choices=[ASYNCHRONOUS, SYNCHRONOUS],

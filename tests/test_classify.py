@@ -613,12 +613,12 @@ def test_cdist_gets_c_contiguous_columns_of_fortran_ordered_data(cdist_layouts):
     assert _every_operand_c_contiguous(cdist_layouts)
 
 
-def test_cdist_gets_c_contiguous_columns_in_a_threaded_run(synth_split, cdist_layouts):
+def test_cdist_gets_c_contiguous_columns_in_a_whole_run(synth_split, cdist_layouts):
     split = synth_split(n_samples=120, n_features=20, n_informative=4)
     config = PsoConfig(population=6, iterations=2, update_mode=SYNCHRONOUS)
     masks = list((np.random.default_rng(2).random((6, 20)) < 0.5).astype(np.int8))
     for mask in masks:
         mask[0] = 1
-    run_xor_pso(split, config, masks, rng=np.random.default_rng(3), workers=2)
+    run_xor_pso(split, config, masks, rng=np.random.default_rng(3))
     assert len(cdist_layouts) >= 6
     assert _every_operand_c_contiguous(cdist_layouts)

@@ -9,6 +9,7 @@ import math
 import os
 import statistics
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xorpso.swarm
 from xorpso import (
     BaselineConfig,
     PsoConfig,
@@ -25,7 +27,6 @@ from xorpso import (
     load_dataset,
     mutual_information,
     read_trace,
-    run_seeded,
     save_dataset,
     score_features,
     standardize_split,
@@ -116,16 +117,14 @@ def test_run_config_defaults_are_the_library_defaults():
     assert config.swarm_config("baseline") == BaselineConfig()
     assert parse_synth("n=40,f=5,inf=2") == SynthSpec(40, 5, 2)
     # the defaults RunConfig still writes out itself
-    run_defaults = inspect.signature(run_seeded).parameters
-    assert config.workers == run_defaults["workers"].default
     assert config.bins == inspect.signature(score_features).parameters["bin_count"].default
     label_default = inspect.signature(load_dataset).parameters["label_column"].default
     assert config.label_column == label_default
 
 
 def test_run_config_rejects_unknown_keys():
-    # an older result.json may still hold seeded_fraction or top_m
-    for key in ("typo", "seeded_fraction", "top_m"):
+    # an older result.json may still hold seeded_fraction, top_m or workers
+    for key in ("typo", "seeded_fraction", "top_m", "workers"):
         with pytest.raises(CliError, match=f"unknown config key.*{key}"):
             RunConfig.from_dict({key: 1})
 
@@ -136,18 +135,14 @@ def test_every_run_config_field_is_a_select_flag():
     assert set(RunConfig().to_dict()) == set(args) - {"command", "config"}
 
 
-def test_run_config_rejects_bad_optimizer_and_workers():
+def test_run_config_rejects_bad_optimizer():
     with pytest.raises(CliError, match="optimizer"):
         RunConfig(optimizer="annealing")
-    with pytest.raises(CliError, match="workers"):
-        RunConfig(workers=0)
 
 
 def test_run_config_checks_value_types():
     with pytest.raises(CliError, match="population.*int.*'30'"):
         RunConfig.from_dict({"population": "30"})
-    with pytest.raises(CliError, match="workers"):
-        RunConfig.from_dict({"workers": True})
     with pytest.raises(CliError, match="threshold"):
         RunConfig.from_dict({"threshold": "high"})
     with pytest.raises(CliError, match="label_column"):
@@ -215,41 +210,74 @@ def test_bad_seeding_setting_is_one_error_line(tmp_path, capsys, flag, value):
     assert f"got {value}" in _one_error_line(capsys)
 
 
-def test_workers_in_asynchronous_mode_is_one_error_line(tmp_path, capsys):
-    assert _select(tmp_path, "--workers", "4") == 1
-    err = _one_error_line(capsys)
-    assert "workers=4" in err
-    assert "update_mode" in err
-
-
-def test_workers_with_oracle_is_one_error_line(tmp_path, capsys):
-    assert _select(tmp_path, "--optimizer", "oracle", "--workers", "4") == 1
-    err = _one_error_line(capsys)
-    assert "workers=4" in err
-    assert "oracle" in err
-
-
-def test_compare_takes_an_oracle_config_with_workers(tmp_path, monkeypatch):
-    # compare never runs the oracle, so the oracle's workers rule is not its own
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
-    oracle = tmp_path / "oracle"
-    assert main(["select", "--synth", SMALL, "--optimizer", "oracle",
-                 "--out", str(oracle)]) == 0
-    code = main(["compare", "--config", str(oracle / "result.json"),
-                 "--population", "6", "--iterations", "2", "--workers", "2",
-                 "--update-mode", "synchronous", "--out", str(tmp_path / "cmp")])
-    assert code == 0
-    assert (tmp_path / "cmp" / "summary.csv").is_file()
-
-
 def test_rejected_run_leaves_no_trace_file(tmp_path, capsys):
-    assert _select(tmp_path / "select", "--workers", "4") == 1
+    # SMALL trains on 32 rows, so k = 33 fails the initial evaluation
+    assert _select(tmp_path / "select", "--knn-k", "33") == 1
     assert not (tmp_path / "select" / "trace.jsonl").exists()
     code = main(
-        ["compare", "--synth", SMALL, "--workers", "4", "--out", str(tmp_path / "cmp")]
+        ["compare", "--synth", SMALL, "--knn-k", "33", "--out", str(tmp_path / "cmp")]
     )
     assert code == 1
     assert list((tmp_path / "cmp").glob("trace_*.jsonl")) == []
+
+
+@pytest.mark.parametrize("command", ["select", "compare"])
+def test_workers_flag_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--synth", SMALL, "--workers", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_in_a_config_file_or_result_echo_is_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    # runs evaluate on the calling thread; an older config may still hold workers
+    monkeypatch.delenv("XORPSO_SEED", raising=False)
+    assert _select(tmp_path / "run") == 0
+    capsys.readouterr()
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    result["config"]["workers"] = 1
+    echo, plain = tmp_path / "result.json", tmp_path / "run.json"
+    echo.write_text(json.dumps(result))
+    plain.write_text(json.dumps({"workers": 1}))
+    for cfg in (plain, echo):
+        out = tmp_path / f"out_{cfg.stem}"
+        code = main(["select", "--synth", SMALL, "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert _one_error_line(capsys) == "error: unknown config key(s): 'workers'\n"
+        assert not out.exists()
+
+
+def test_wall_ms_includes_the_initial_evaluation(tmp_path, monkeypatch):
+    # the first evaluation is the initial population's, before iteration 0
+    monkeypatch.delenv("XORPSO_SEED", raising=False)
+    evaluate = xorpso.swarm.evaluate_particle
+    calls = []
+
+    def slow_first(*args, **kwargs):
+        if not calls:
+            time.sleep(0.05)
+        calls.append(None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(xorpso.swarm, "evaluate_particle", slow_first)
+    assert _select(tmp_path / "select") == 0
+    wall_ms = json.loads((tmp_path / "select" / "result.json").read_text())["wall_ms"]
+    trace = read_trace(tmp_path / "select" / "trace.jsonl")
+    assert wall_ms >= 50 + sum(r.elapsed_ms for r in trace)
+
+    # compare runs xor first, so its one run holds the slow evaluation
+    calls.clear()
+    out = tmp_path / "cmp"
+    assert main(["compare", "--synth", SMALL, "--population", "6", "--iterations", "5",
+                 "--seeds", "0", "--out", str(out)]) == 0
+    rows = {row.split(",")[0]: row.split(",")
+            for row in (out / "summary.csv").read_text().splitlines()}
+    trace = read_trace(out / "trace_xor_0.jsonl")
+    assert float(rows["xor"][5]) >= 50 + sum(r.elapsed_ms for r in trace)
 
 
 @pytest.mark.parametrize(

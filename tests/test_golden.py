@@ -106,15 +106,11 @@ def _golden_run(prepared, instance, optimizer, mode, seed) -> str:
         population=POPULATION, iterations=ITERATIONS,
         accuracy_threshold=SPECS[instance][2], update_mode=mode,
     )
-    workers = 2 if mode == "synchronous" else 1
     if optimizer == "xor":
-        best, trace = run_xor_pso(
-            split, PsoConfig(**shared), masks, rng=xor_rng, workers=workers
-        )
+        best, trace = run_xor_pso(split, PsoConfig(**shared), masks, rng=xor_rng)
     else:
         best, trace = run_baseline_bpso(
-            split, BaselineConfig(**shared), masks, rng=baseline_rng,
-            workers=workers,
+            split, BaselineConfig(**shared), masks, rng=baseline_rng
         )
     return _digest(trace, best)
 
@@ -176,15 +172,15 @@ CLI_GOLDEN = {
     "synth-gen/synth.csv": "49f2a8c6b1219044867ffdebadf9edce20c2bc84bb76881926a8fce4333ea0f2",
     "synth-gen/synth.provenance.json": "447f512ff154b931777778dc84600596a13cb777f4883bf186a30a978afba848",
     "select-xor/stdout": "5dc2ab30df700cf3bec172e5d6e602ab6b7b442d4c7840dceb13f92b2d2ad89e",
-    "select-xor/result.json": "ba9a635b8cc061da5997fb08922b81e6576efdad07f05a1a0da66ac72ea27ba3",
+    "select-xor/result.json": "98087f7bc69227656ba6758e365d71f3a44f3198b40c1d92d89fcfe6affc4869",
     "select-xor/selected.csv": "9ff01fce8cef9b00b2c84ebea1be532e6459dd382b6554df015d79458781b0fd",
     "select-xor/trace.jsonl": "1e7ffb3ef5d5ec3f3973191be5af49d9867d23736e775ed8b4fc35550b713dc8",
     "select-baseline/stdout": "10ca2b2ca2497c47573967c7782fb98acfaeeef542ffff14435f7d53aee7ddfd",
-    "select-baseline/result.json": "74c81690f81f7491e3fae842a147720530f0ea76549305d5fd24e450c6481778",
+    "select-baseline/result.json": "632156b3311496e32a56ff740c7e6e828067aabe56220979ccb548392fed5dd4",
     "select-baseline/selected.csv": "566eee5064bdadae82d16f7c7d98702a3d5b379cc9a240f8fc6c92f69a4c3221",
     "select-baseline/trace.jsonl": "524c9798c8ae061eaeda3e2cdd44ef36746470247016fb697e7754ad8fc02be7",
     "select-oracle/stdout": "621845c111880bef3b64d0a5aae72b5df12010f80d89c03342cc0a7d4236bdac",
-    "select-oracle/result.json": "ada41364d7a35e61468807017ab38c7850277455c970264e38e82401111fc60f",
+    "select-oracle/result.json": "681442cd63ca54c454e151595c26bd8879604352d7cf4a20e605d3c5f834d474",
     "select-oracle/selected.csv": "5c206d7326edb67694e76bb586df89f00b0324afff56ed739df7048698f0c77d",
     "select-oracle/trace.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "compare/stdout": "4a892809a58ba585489840d3116d5a98c53acc726dc2cbdfc8905700f2062158",

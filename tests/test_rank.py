@@ -204,6 +204,17 @@ def test_mi_scores_validation():
         MiScores(scores=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("values,message", [
+    # an inf would rank first, and seeding's empty-mask repair would take a NaN
+    pytest.param([np.nan, 0.5, 0.1, np.inf], "score 0 is nan", id="nan"),
+    pytest.param([0.2, 0.5, 0.1, np.inf], "score 3 is inf", id="inf"),
+    pytest.param([0.2, -np.inf, np.nan], "score 1 is -inf", id="-inf"),
+])
+def test_mi_scores_reject_non_finite_scores(values, message):
+    with pytest.raises(ValueError, match=f"^{message}; scores must be finite$"):
+        MiScores(scores=np.array(values))
+
+
 def _reference_discretize(col, bin_count):
     """Reference: the 1-D binning expression scoring keeps for finite products."""
     lo, hi = col.min(), col.max()

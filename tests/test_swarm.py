@@ -2,9 +2,7 @@
 
 import json
 import math
-import os
 import tempfile
-import threading
 from pathlib import Path
 from unittest import mock
 
@@ -238,55 +236,6 @@ def test_generator_is_required(tiny_split):
         run_xor_pso(tiny_split, config, [np.array([1, 0], dtype=np.int8)])
 
 
-def test_workers_in_asynchronous_mode_is_rejected_before_evaluation(
-    tiny_split, monkeypatch
-):
-    import xorpso.swarm
-
-    def no_evaluation(*args):
-        raise AssertionError("evaluated before rejecting the settings")
-
-    monkeypatch.setattr(xorpso.swarm, "evaluate_particle", no_evaluation)
-    config = PsoConfig(population=1, iterations=1, knn=KnnConfig(k=1))
-    with pytest.raises(ValueError, match="workers=2.*update_mode"):
-        run_xor_pso(
-            tiny_split, config, [np.array([1, 0], dtype=np.int8)],
-            rng=np.random.default_rng(0), workers=2,
-        )
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
-@pytest.mark.parametrize("optimizer", ["xor", "baseline"])
-def test_workers_below_one_is_rejected_before_evaluation(
-    tiny_split, monkeypatch, optimizer, mode, workers
-):
-    def no_evaluation(*args):
-        raise AssertionError("evaluated before rejecting the settings")
-
-    monkeypatch.setattr(xorpso.swarm, "evaluate_particle", no_evaluation)
-    cls = BaselineConfig if optimizer == "baseline" else PsoConfig
-    runner = run_baseline_bpso if optimizer == "baseline" else run_xor_pso
-    config = cls(population=1, iterations=1, knn=KnnConfig(k=1), update_mode=mode)
-    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}$"):
-        runner(tiny_split, config, [np.array([1, 0], dtype=np.int8)],
-               rng=np.random.default_rng(0), workers=workers)
-
-
-def test_synchronous_pool_starts_at_most_one_thread_per_core(synth_split):
-    # each pool thread keeps its own k-NN scratch, so workers far above the
-    # core count must not start a thread per particle
-    split = synth_split(n_samples=60, n_features=6, n_informative=2)
-    config = PsoConfig(population=16, iterations=3, update_mode="synchronous")
-    masks = _random_masks(np.random.default_rng(4), 16, 6)
-    before = threading.active_count()
-    pool_threads = []
-    run_xor_pso(split, config, masks, rng=np.random.default_rng(5), workers=10**6,
-                on_record=lambda record, state: pool_threads.append(
-                    threading.active_count() - before))
-    assert max(pool_threads) <= (os.cpu_count() or 1)
-
-
 # --- driver invariants ----------------------------------------------------
 
 def _random_masks(rng, population, n_features):
@@ -390,7 +339,7 @@ def _full_evaluation(mask, split, config, bar=None, **kwargs):
     return FULL_EVALUATE(mask, split, config, **kwargs)
 
 
-def _observed_run(runner, split, config, masks, seed, workers=1):
+def _observed_run(runner, split, config, masks, seed):
     """The trace without ``elapsed_ms`` and a copy of the state at every record."""
     states = []
 
@@ -402,7 +351,7 @@ def _observed_run(runner, split, config, masks, seed, workers=1):
                          "gbest_accuracy")}))
 
     best, trace = runner(split, config, masks, rng=np.random.default_rng(seed),
-                         workers=workers, on_record=keep)
+                         on_record=keep)
     assert [record for record, _ in states] == trace
     return best, _without_elapsed(trace), [state for _, state in states]
 
@@ -415,14 +364,11 @@ def _assert_same_runs(got, want):
             assert np.array_equal(got_state[name], value), name
 
 
-@pytest.mark.parametrize("optimizer,mode,workers", [
-    ("xor", "asynchronous", 1), ("xor", "synchronous", 1), ("xor", "synchronous", 2),
-    ("baseline", "asynchronous", 1), ("baseline", "synchronous", 1),
-    ("baseline", "synchronous", 2),
-])
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+@pytest.mark.parametrize("optimizer", ["xor", "baseline"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_early_stopping_driver_equals_full_evaluation(optimizer, mode, workers, data):
+def test_early_stopping_driver_equals_full_evaluation(optimizer, mode, data):
     baseline = optimizer == "baseline"
     # 45 to 50 validation rows: two chunks, so an evaluation can stop early
     split, config, masks, seed = data.draw(_small_runs(
@@ -431,9 +377,9 @@ def test_early_stopping_driver_equals_full_evaluation(optimizer, mode, workers, 
     if data.draw(st.booleans()):
         masks[data.draw(st.integers(0, len(masks) - 1))] = [0] * split.feature_count
     runner = run_baseline_bpso if baseline else run_xor_pso
-    got = _observed_run(runner, split, config, masks, seed, workers)
+    got = _observed_run(runner, split, config, masks, seed)
     with mock.patch.object(xorpso.swarm, "evaluate_particle", _full_evaluation):
-        want = _observed_run(runner, split, config, masks, seed, workers)
+        want = _observed_run(runner, split, config, masks, seed)
     _assert_same_runs(got, want)
 
 
@@ -471,9 +417,8 @@ def test_stopped_evaluations_reach_no_best_trace_or_callback(synth_split, mode):
     _assert_same_runs(got, want)
 
 
-@pytest.mark.parametrize("mode,workers", [
-    ("asynchronous", 1), ("synchronous", 1), ("synchronous", 2)])
-def test_every_nonempty_mask_reaches_the_wrapped_calls(synth_split, mode, workers):
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+def test_every_nonempty_mask_reaches_the_wrapped_calls(synth_split, mode):
     # a benchmark wraps these three module globals by name and counts calls
     split, masks = _tall_run_inputs(synth_split)
     config = PsoConfig(population=6, iterations=5, update_mode=mode)
@@ -493,8 +438,7 @@ def test_every_nonempty_mask_reaches_the_wrapped_calls(synth_split, mode, worker
               lambda args, result: (selected_count(args[0]), result)), \
          wrap(xorpso.swarm, "knn_accuracy", knn_calls, lambda args, result: result), \
          wrap(xorpso.classify, "cdist", cdist_rows, lambda args, result: len(args[0])):
-        run_xor_pso(split, config, masks, rng=np.random.default_rng(0),
-                    workers=workers)
+        run_xor_pso(split, config, masks, rng=np.random.default_rng(0))
     assert len(evaluations) == config.population * (config.iterations + 1)
     nonempty = [result for selected, result in evaluations if selected]
     assert len(nonempty) < len(evaluations)
@@ -504,10 +448,8 @@ def test_every_nonempty_mask_reaches_the_wrapped_calls(synth_split, mode, worker
     assert sum(result is None for result in knn_calls) == nonempty.count(None) > 0
 
 
-@pytest.mark.parametrize("mode,workers", [
-    ("asynchronous", 1), ("synchronous", 1), ("synchronous", 2)])
-def test_every_evaluation_of_a_run_updates_one_miss_count_array(synth_split, mode,
-                                                                workers):
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+def test_every_evaluation_of_a_run_updates_one_miss_count_array(synth_split, mode):
     split, masks = _tall_run_inputs(synth_split)
     config = PsoConfig(population=6, iterations=5, update_mode=mode)
     arrays, deltas = [], []
@@ -521,15 +463,13 @@ def test_every_evaluation_of_a_run_updates_one_miss_count_array(synth_split, mod
         return result
 
     with mock.patch.object(xorpso.swarm, "knn_accuracy", wrapper):
-        run_xor_pso(split, config, masks, rng=np.random.default_rng(0),
-                    workers=workers)
+        run_xor_pso(split, config, masks, rng=np.random.default_rng(0))
     assert arrays and all(array is arrays[0] for array in arrays)
     assert arrays[0].shape == (split.validation.sample_count,)
     assert arrays[0].sum() > 0
-    if workers == 1:
-        # no other evaluation runs during a call, so each delta is its own
-        assert np.array_equal(np.sum(deltas, axis=0), arrays[0])
-        assert all(delta.min() >= 0 and delta.max() <= 1 for delta in deltas)
+    # no other evaluation runs during a call, so each delta is its own
+    assert np.array_equal(np.sum(deltas, axis=0), arrays[0])
+    assert all(delta.min() >= 0 and delta.max() <= 1 for delta in deltas)
 
 
 def test_evaluation_without_a_bar_classifies_every_row(synth_split, monkeypatch):
@@ -586,23 +526,6 @@ def test_same_seed_reproduces_different_seed_diverges(synth_split):
     assert run(3) != run(4)
 
 
-def test_synchronous_result_is_worker_count_independent(synth_split):
-    split = synth_split(n_samples=60, n_features=6, n_informative=2)
-    config = PsoConfig(population=6, iterations=10, update_mode="synchronous")
-    masks = _random_masks(np.random.default_rng(6), 6, 6)
-
-    def run(workers):
-        best, trace = run_xor_pso(
-            split, config, masks, rng=np.random.default_rng(9), workers=workers
-        )
-        return list(best), [
-            (r.iteration, r.gbest_fitness, r.gbest_accuracy, r.gbest_selected)
-            for r in trace
-        ]
-
-    assert run(1) == run(4)
-
-
 # --- seeded runs ----------------------------------------------------------
 
 def _without_elapsed(trace):
@@ -637,13 +560,6 @@ def test_run_seeded_equals_the_explicit_stream_sequence(synth_split, optimizer, 
         assert np.array_equal(got_best, best)
         assert _without_elapsed(got_trace) == _without_elapsed(trace)
         assert seen == got_trace
-
-
-def test_run_seeded_passes_workers_to_the_driver(synth_split):
-    split = synth_split(n_samples=60, n_features=6, n_informative=2)
-    scores = score_features(split.train)
-    with pytest.raises(ValueError, match="workers=2"):
-        run_seeded(split, scores, PsoConfig(population=4, iterations=2), 0, workers=2)
 
 
 @pytest.mark.parametrize("optimizer", ["xor", "baseline"])

@@ -9,7 +9,7 @@ serialization; :mod:`xorpso.cli` wires them into reproducible command-line
 runs.
 """
 
-from .classify import EmptyMaskError, KnnConfig, knn_accuracy, knn_predict
+from .classify import KnnConfig, knn_accuracy
 from .data import (
     DatasetError,
     FeatureDataset,
@@ -60,7 +60,6 @@ __all__ = [
     "SYNCHRONOUS",
     "BaselineConfig",
     "DatasetError",
-    "EmptyMaskError",
     "FeatureDataset",
     "IterationRecord",
     "KnnConfig",
@@ -78,7 +77,6 @@ __all__ = [
     "generate_synthetic",
     "inertia_at",
     "knn_accuracy",
-    "knn_predict",
     "load_dataset",
     "mutual_information",
     "position_update",

@@ -7,6 +7,8 @@ are bit-for-bit identical.  One GEMM gives every distance to within a
 proven bound; only the pairs the bound cannot order are summed again
 exactly, column by column.  An evaluation given a target count of correct
 rows classifies them in chunks and stops once the target is out of reach.
+:func:`knn_accuracy` is the one evaluation routine; a mask that selects no
+feature is a ValueError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SplitDataset
+from .data import SplitDataset, check_integer
 
 
 # validation rows classified per step of an evaluation that may stop early
@@ -30,10 +32,6 @@ _UNDERFLOW_SLACK = 2.0**-1072
 _NORM_LIMIT = np.finfo(np.float64).max / 4
 
 
-class EmptyMaskError(ValueError):
-    """Signals a mask that selects no features; callers decide how to score it."""
-
-
 @dataclass(frozen=True)
 class KnnConfig:
     """Neighbor count for the wrapper classifier (distance is Euclidean)."""
@@ -41,74 +39,11 @@ class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
+        check_integer("k", self.k)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k % 2 == 0:
             raise ValueError(f"k must be odd to limit vote ties, got {self.k}")
-
-
-def knn_predict(
-    split: SplitDataset, mask: np.ndarray, config: KnnConfig
-) -> np.ndarray:
-    """Predict a label for every validation row using selected columns only.
-
-    For each validation row the k nearest training rows (Euclidean distance
-    over the mask's columns) vote; ties are deterministic: equal distances
-    prefer the lower training-row index, equal votes prefer the lower class
-    index.
-
-    Raises
-    ------
-    EmptyMaskError
-        If the mask selects no features.
-    ValueError
-        Mask length mismatch, or k larger than the training sample count.
-    """
-    n_val = split.validation.sample_count
-    ((_, predictions),) = _predict_chunks(split, mask, config, None, n_val)
-    return predictions
-
-
-def _predict_chunks(split, mask, config, order, chunk):
-    """Row indices and predictions of the validation rows, ``chunk`` per yield.
-
-    Rows come in ``order`` (None: file order, indexed by slices), and the
-    indices are file-order rows.  Each chunk's distance and selection
-    matrices are row views of this thread's full-size work buffers, so
-    chunking allocates nothing new.  The distance step and the selection
-    act row by row, so a row's prediction does not depend on its chunk.
-    """
-    mask = np.asarray(mask)
-    if mask.shape != (split.feature_count,):
-        raise ValueError(
-            f"mask length {mask.shape} does not match feature count "
-            f"{split.feature_count}"
-        )
-    selected = np.flatnonzero(mask != 0)
-    if selected.size == 0:
-        raise EmptyMaskError("mask selects no features")
-    if config.k > split.train.sample_count:
-        raise ValueError(
-            f"k={config.k} exceeds training sample count "
-            f"{split.train.sample_count}"
-        )
-    # take returns a new C-ordered copy; a fancy column index would come back
-    # Fortran-ordered, and the distance step would read its rows at a stride
-    train = np.take(split.train.features, selected, axis=1)
-    valid = np.take(split.validation.features, selected, axis=1)
-    if order is not None:
-        valid = valid[order]
-    buffers = _scratch((valid.shape[0], train.shape[0]))
-    # votes are counted per present class, so no cost depends on label
-    # values; argmax takes the first maximum, so ties go to the lower class
-    classes = split.train.classes
-    for start in range(0, valid.shape[0], chunk):
-        rows = slice(start, start + chunk)
-        dist, part, chosen = (buffer[rows] for buffer in buffers)
-        nearest = _nearest_exact(valid[rows], train, config.k, dist, part, chosen)
-        votes = split.train.labels[nearest]
-        counts = (votes[:, :, None] == classes).sum(axis=1)
-        yield rows if order is None else order[rows], classes[np.argmax(counts, axis=1)]
 
 
 def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -258,33 +193,72 @@ def knn_accuracy(
 ) -> float | None:
     """Fraction of validation rows predicted correctly; in [0, 1].
 
-    With a ``target`` (a count of rows), the rows are classified
-    ``CHUNK_ROWS`` at a time, and the evaluation stops, returning None,
-    once the rows already wrong leave fewer than ``target`` that can be
-    right.  A result that is not None is exact whatever the order, since
-    every row is predicted on its own.  A target of 0 never stops and
-    classifies all rows at once.  ``misses``, when given, holds one count
-    per validation row (1-D signed integers, file order): a target visits
-    the rows in ``np.argsort(-misses, kind="stable")`` order (else file
-    order), and each row classified wrong adds 1 to its count.  Threads
-    may share it unlocked, since a lost increment changes only the visit
-    order, never an accuracy.  Raises ValueError on a malformed ``misses``
-    before classifying a row, otherwise as :func:`knn_predict`.
+    Each validation row is predicted by a vote of its k nearest training
+    rows (Euclidean distance over the mask's columns).  Ties are
+    deterministic: equal distances prefer the lower training row, equal
+    votes the lower class.  With a ``target`` (a count of rows), the rows
+    are classified ``CHUNK_ROWS`` at a time, and the evaluation stops,
+    returning None, once the rows already wrong leave fewer than
+    ``target`` that can be right.  A result that is not None is exact
+    whatever the order, since every row is predicted on its own.  A target
+    of 0 never stops and classifies all rows at once.  ``misses``, when
+    given, holds one count per validation row (a writeable 1-D signed
+    integer array, file order): a target visits the rows in
+    ``np.argsort(-misses, kind="stable")`` order (else file order), and
+    each row classified wrong adds 1 to its count.  Threads may share it
+    unlocked, since a lost increment changes only the visit order, never
+    an accuracy.  Raises ValueError, before any row is classified, on a
+    malformed ``misses``, a mask of the wrong length or with no feature
+    selected, or a k above the training row count.
     """
     n_val = split.validation.sample_count
     if misses is not None and (not isinstance(misses, np.ndarray)
-                               or misses.dtype.kind != "i" or misses.shape != (n_val,)):
-        raise ValueError(f"misses must be a 1-D signed integer array of length {n_val}")
+                               or misses.dtype.kind != "i" or misses.shape != (n_val,)
+                               or not misses.flags.writeable):
+        raise ValueError(
+            f"misses must be a writeable 1-D signed integer array of length {n_val}")
+    mask = np.asarray(mask)
+    if mask.shape != (split.feature_count,):
+        raise ValueError(
+            f"mask length {mask.shape} does not match feature count "
+            f"{split.feature_count}"
+        )
+    selected = np.flatnonzero(mask != 0)
+    if selected.size == 0:
+        raise ValueError("mask selects no features")
+    if config.k > split.train.sample_count:
+        raise ValueError(
+            f"k={config.k} exceeds training sample count "
+            f"{split.train.sample_count}"
+        )
+    # take returns a new C-ordered copy; a fancy column index would come back
+    # Fortran-ordered, and the distance step would read its rows at a stride
+    train = np.take(split.train.features, selected, axis=1)
+    valid = np.take(split.validation.features, selected, axis=1)
+    labels = split.validation.labels
+    visit = np.arange(n_val)  # the file-order row of each visited row
     # a target of 0 never stops, so no order can save time
-    order = np.argsort(-misses, kind="stable") if target and misses is not None else None
+    if target and misses is not None:
+        visit = np.argsort(-misses, kind="stable")
+        valid, labels = valid[visit], labels[visit]
+    # each chunk's work matrices are row views of this thread's full-size
+    # buffers, and the distance step and the selection act row by row, so a
+    # row's prediction does not depend on its chunk
+    buffers = _scratch((n_val, train.shape[0]))
+    # votes are counted per present class, so no cost depends on label
+    # values; argmax takes the first maximum, so ties go to the lower class
+    classes = split.train.classes
+    chunk = CHUNK_ROWS if target else n_val
     allowed = n_val - target  # the most wrong rows that can still reach target
     errors = 0
-    for rows, predictions in _predict_chunks(
-        split, mask, config, order, CHUNK_ROWS if target else n_val
-    ):
-        wrong = predictions != split.validation.labels[rows]
+    for start in range(0, n_val, chunk):
+        rows = slice(start, start + chunk)
+        dist, part, chosen = (buffer[rows] for buffer in buffers)
+        nearest = _nearest_exact(valid[rows], train, config.k, dist, part, chosen)
+        counts = (split.train.labels[nearest][:, :, None] == classes).sum(axis=1)
+        wrong = classes[np.argmax(counts, axis=1)] != labels[rows]
         if misses is not None:
-            misses[rows] += wrong
+            misses[visit[rows]] += wrong
         errors += int(np.count_nonzero(wrong))
         if errors > allowed:
             return None

@@ -27,6 +27,15 @@ class DatasetError(ValueError):
     """Raised for unreadable, malformed, or internally inconsistent datasets."""
 
 
+def check_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an int or numpy integer.
+
+    A bool is refused although Python counts it as an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -53,6 +62,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "n_features", "n_informative", "seed"):
+            check_integer(name, getattr(self, name), DatasetError)
         if self.n_samples < 4:
             raise DatasetError(f"n_samples must be >= 4, got {self.n_samples}")
         if self.n_features < 1:
@@ -175,7 +186,9 @@ class FeatureDataset:
     @cached_property
     def classes(self) -> np.ndarray:
         """Distinct label values, ascending and read-only; worked out once."""
-        return _frozen_array(np.unique(self.labels), np.int64)
+        # plain np.unique asks np.ma.is_masked, whose first call imports all of
+        # numpy.ma (about 10 ms); asking for counts takes the sort path instead
+        return _frozen_array(np.unique(self.labels, return_counts=True)[0], np.int64)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureDataset
+from .data import FeatureDataset, check_integer
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ def discretize(values, bin_count: int) -> np.ndarray:
     scaled by 2**-56 first, which keeps that product finite; every other
     column keeps the unscaled expression bit for bit.
     """
+    check_integer("bin_count", bin_count)
     # float64 holds every bin index up to 2**53, so the int64 cast is exact
     if not 2 <= bin_count <= 2**53:
         raise ValueError(f"bin_count must be in [2, 2**53], got {bin_count}")
@@ -97,7 +98,8 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """
     starts = np.cumsum(lengths) - lengths
     out = np.empty((lengths.shape[0],) + values.shape[1:])
-    for length in np.unique(lengths):
+    # counts keep np.unique off np.ma.is_masked, which imports numpy.ma
+    for length in np.unique(lengths, return_counts=True)[0]:
         runs = np.flatnonzero(lengths == length)
         out[runs] = values[starts[runs, None] + np.arange(length)].sum(axis=1)
     return out
@@ -159,6 +161,7 @@ def score_features(train: FeatureDataset, bin_count: int = 10) -> MiScores:
     expression and counted by one bincount, with the scores of one table
     per column bit for bit.
     """
+    check_integer("bin_count", bin_count)
     classes, class_count = _distinct_codes(train.labels)
     n, features = train.features.shape
     # no column holds more than n distinct bins: past n bins, rank them

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .classify import KnnConfig, knn_accuracy
-from .data import SplitDataset
+from .data import SplitDataset, check_integer
 from .rank import MiScores, check_swarm_size, seed_masks
 
 ASYNCHRONOUS = "asynchronous"
@@ -83,6 +83,8 @@ class PsoConfig:
     update_mode: str = ASYNCHRONOUS
 
     def __post_init__(self):
+        check_integer("population", self.population)
+        check_integer("iterations", self.iterations)
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
         if self.iterations < 1:

@@ -13,17 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import xorpso
 import xorpso.classify
 from xorpso import (
     SYNCHRONOUS,
-    EmptyMaskError,
     FeatureDataset,
     KnnConfig,
     PsoConfig,
     SplitDataset,
     evaluate_particle,
     knn_accuracy,
-    knn_predict,
     run_xor_pso,
 )
 from xorpso.classify import (
@@ -76,6 +75,26 @@ def _make_split(train_x, train_y, val_x, val_y):
     )
 
 
+def predict(split, mask, config):
+    """Each validation row's predicted class, read from knn_accuracy's misses.
+
+    One full evaluation per training class, with every validation label set
+    to that class: a row predicted as class c ends c's evaluation with no
+    miss, and every other evaluation with one.
+    """
+    n_val = split.validation.sample_count
+    preds, hits = np.zeros(n_val, dtype=np.int64), np.zeros(n_val, dtype=np.int64)
+    for c in split.train.classes:
+        as_c = _make_split(split.train.features, split.train.labels,
+                           split.validation.features, np.full(n_val, c))
+        misses = np.zeros(n_val, dtype=np.int64)
+        knn_accuracy(as_c, mask, config, misses=misses)
+        preds[misses == 0] = c
+        hits += misses == 0
+    assert np.all(hits == 1)
+    return preds
+
+
 # --- hand-computed cases --------------------------------------------------
 
 def test_informative_feature_alone_is_perfect(tiny_split):
@@ -86,7 +105,7 @@ def test_informative_feature_alone_is_perfect(tiny_split):
 def test_constant_feature_alone_predicts_first_row_label(tiny_split):
     # all distances are equal, so the lowest train row, row 0 (label 1), wins
     config = KnnConfig(k=1)
-    preds = knn_predict(tiny_split, np.array([0, 1]), config)
+    preds = predict(tiny_split, np.array([0, 1]), config)
     assert list(preds) == [1, 1]
     assert knn_accuracy(tiny_split, np.array([0, 1]), config) == 0.5
 
@@ -100,7 +119,7 @@ def test_distance_tie_goes_to_lower_train_row():
     split = _make_split(
         train_x=[[1.0], [3.0]], train_y=[1, 0], val_x=[[2.0], [2.0]], val_y=[1, 1]
     )
-    preds = knn_predict(split, np.array([1]), KnnConfig(k=1))
+    preds = predict(split, np.array([1]), KnnConfig(k=1))
     assert list(preds) == [1, 1]
 
 
@@ -112,13 +131,13 @@ def test_vote_tie_goes_to_lower_class_label():
         val_y=[0, 0],
     )
     # k=3 collects one vote per class; the tie resolves to class 0
-    preds = knn_predict(split, np.array([1]), KnnConfig(k=3))
+    preds = predict(split, np.array([1]), KnnConfig(k=3))
     assert list(preds) == [0, 0]
 
 
 def test_predictions_ignore_masked_out_columns(tiny_split):
     config = KnnConfig(k=1)
-    with_noise = knn_predict(tiny_split, np.array([1, 0]), config)
+    with_noise = predict(tiny_split, np.array([1, 0]), config)
     # feature 1 masked out: identical to evaluating on feature 0 alone
     only_f0 = _make_split(
         train_x=tiny_split.train.features[:, :1],
@@ -126,7 +145,7 @@ def test_predictions_ignore_masked_out_columns(tiny_split):
         val_x=tiny_split.validation.features[:, :1],
         val_y=tiny_split.validation.labels,
     )
-    alone = knn_predict(only_f0, np.array([1]), config)
+    alone = predict(only_f0, np.array([1]), config)
     assert np.array_equal(with_noise, alone)
 
 
@@ -137,21 +156,29 @@ def test_knn_config_validation():
         KnnConfig(k=2)
     with pytest.raises(ValueError, match=">= 1"):
         KnnConfig(k=0)
+    assert KnnConfig(k=np.int64(3)).k == 3
+
+
+@pytest.mark.parametrize("k", [3.0, 2.5, True, np.float64(5.0)])
+def test_knn_config_rejects_a_non_integer_k(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        KnnConfig(k=k)
 
 
 def test_empty_mask_raises(tiny_split):
-    with pytest.raises(EmptyMaskError):
-        knn_predict(tiny_split, np.array([0, 0]), KnnConfig(k=1))
+    with pytest.raises(ValueError, match="mask selects no features") as raised:
+        knn_accuracy(tiny_split, np.array([0, 0]), KnnConfig(k=1))
+    assert type(raised.value) is ValueError
 
 
 def test_k_larger_than_train_rejected(tiny_split):
     with pytest.raises(ValueError, match="exceeds training sample count"):
-        knn_predict(tiny_split, np.array([1, 0]), KnnConfig(k=5))
+        knn_accuracy(tiny_split, np.array([1, 0]), KnnConfig(k=5))
 
 
 def test_wrong_mask_length_rejected(tiny_split):
-    with pytest.raises(ValueError):
-        knn_predict(tiny_split, np.array([1, 0, 1]), KnnConfig(k=1))
+    with pytest.raises(ValueError, match="does not match feature count"):
+        knn_accuracy(tiny_split, np.array([1, 0, 1]), KnnConfig(k=1))
 
 
 # --- cross-check against the naive reference ------------------------------
@@ -180,14 +207,14 @@ def test_matches_naive_reference_on_random_integer_instances():
         if k > n_train:
             k = 1
         split = _make_split(train_x, train_y, val_x, val_y)
-        got = knn_predict(split, mask, KnnConfig(k=k))
+        got = predict(split, mask, KnnConfig(k=k))
         want = naive_knn(train_x, train_y, val_x, k, mask)
         assert list(got) == want, f"trial {trial} diverged"
 
 
 def test_accuracy_is_mean_agreement(tiny_split):
     config = KnnConfig(k=1)
-    preds = knn_predict(tiny_split, np.array([0, 1]), config)
+    preds = predict(tiny_split, np.array([0, 1]), config)
     expected = np.mean(preds == tiny_split.validation.labels)
     assert knn_accuracy(tiny_split, np.array([0, 1]), config) == expected
 
@@ -236,7 +263,7 @@ def test_partial_selection_matches_stable_sort(instance):
     chosen = nearest_rows(dist, k)
     assert chosen.shape == (dist.shape[0], k)
     assert np.array_equal(chosen, np.sort(argsort_rows(dist, k), axis=1))
-    got = knn_predict(split, mask, KnnConfig(k=k))
+    got = predict(split, mask, KnnConfig(k=k))
     assert list(got) == argsort_predict(split, mask, k)
 
 
@@ -282,11 +309,16 @@ def _repro_split(synth_split):
                        class_separation=0.5, data_seed=3, split_seed=1)
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 @pytest.mark.parametrize("misses", [
     np.zeros(39, dtype=np.int64), np.zeros(41, dtype=np.int64),
     np.zeros((40, 1), dtype=np.int64), np.zeros(40, dtype=bool), np.zeros(40),
-    np.zeros(40, dtype=np.uint64), [0] * 40,
-], ids=["short", "long", "2-D", "bool", "float", "unsigned", "list"])
+    np.zeros(40, dtype=np.uint64), [0] * 40, _read_only(np.zeros(40, dtype=np.int64)),
+], ids=["short", "long", "2-D", "bool", "float", "unsigned", "list", "read-only"])
 def test_malformed_misses_is_rejected_before_any_row(misses, synth_split,
                                                      monkeypatch):
     split = _repro_split(synth_split)
@@ -319,7 +351,7 @@ def test_threads_sharing_misses_end_with_exact_counts(synth_split):
     for t, mask in enumerate(masks):
         mask[t] = 1
     config = KnnConfig(k=5)
-    wrong = [knn_predict(split, mask, config) != split.validation.labels
+    wrong = [predict(split, mask, config) != split.validation.labels
              for mask in masks]
     # a target of 1 classifies every row here, in chunks, in the order the
     # shared counts give at the call; a target of 0 takes one chunk
@@ -367,7 +399,7 @@ def test_calls_in_sequence_each_match_the_oracle(calls):
     for call in calls:
         if isinstance(call[0], SplitDataset):
             split, mask, k = call
-            got = knn_predict(split, mask, KnnConfig(k=k))
+            got = predict(split, mask, KnnConfig(k=k))
             assert list(got) == argsort_predict(split, mask, k)
         else:
             dist, k = call
@@ -449,7 +481,7 @@ def test_gemm_filter_neighbours_match_the_oracle(instance):
     got = _nearest_exact(valid, train, k, *work)
     assert np.array_equal(got, np.sort(argsort_rows(exact, k), axis=1))
     mask = np.ones(split.feature_count, dtype=np.int8)
-    assert list(knn_predict(split, mask, KnnConfig(k=k))) == argsort_predict(split, mask, k)
+    assert list(predict(split, mask, KnnConfig(k=k))) == argsort_predict(split, mask, k)
 
 
 def test_rows_whose_sums_could_overflow_take_every_column():
@@ -491,6 +523,37 @@ def test_fresh_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_whole_pipeline_never_imports_numpy_ma():
+    # numpy's plain np.unique loads all of numpy.ma on its first call
+    src = Path(xorpso.classify.__file__).resolve().parents[1]
+    code = """
+import sys
+import numpy as np
+from xorpso import (PsoConfig, SynthSpec, generate_synthetic, run_xor_pso,
+                    score_features, seed_masks, standardize_split, stratified_split)
+data = generate_synthetic(SynthSpec(n_samples=60, n_features=8, n_informative=2))
+split = standardize_split(stratified_split(data, 0.2, 0))
+masks = seed_masks(score_features(split.train), 4, rng=np.random.default_rng(0))
+run_xor_pso(split, PsoConfig(population=4, iterations=2), masks,
+            rng=np.random.default_rng(1))
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_and_removed_ones_are_gone():
+    assert all(hasattr(xorpso, name) for name in xorpso.__all__)
+    assert len(set(xorpso.__all__)) == len(xorpso.__all__)
+    for name in ("knn_predict", "EmptyMaskError", "_predict_chunks"):
+        assert name not in xorpso.__all__
+        assert not hasattr(xorpso, name)
+        assert not hasattr(xorpso.classify, name)
+
+
 def test_threads_evaluating_at_once_match_sequential_results(synth_split):
     # a split with tall_sync_compare's 160x640 distance matrix
     split = synth_split(n_samples=800, n_features=32, n_informative=6,
@@ -499,7 +562,7 @@ def test_threads_evaluating_at_once_match_sequential_results(synth_split):
     rng = np.random.default_rng(0)
     masks = [(rng.random(32) < 0.5).astype(np.int8) for _ in range(2)]
     config = KnnConfig(k=5)
-    want = [knn_predict(split, mask, config) for mask in masks]
+    want = [predict(split, mask, config) for mask in masks]
     rounds = 20
     got = [[], []]
     start = threading.Barrier(2)
@@ -507,7 +570,7 @@ def test_threads_evaluating_at_once_match_sequential_results(synth_split):
     def work(t):
         start.wait(timeout=30)
         for _ in range(rounds):
-            got[t].append(knn_predict(split, masks[t], config))
+            got[t].append(predict(split, masks[t], config))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -95,6 +95,15 @@ def test_synth_spec_validation():
         SynthSpec(n_samples=10, n_features=4, n_informative=1, noise_std=-1.0)
 
 
+@pytest.mark.parametrize("field", ["n_samples", "n_features", "n_informative", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_synth_spec_rejects_a_non_integer_count_and_names_field(field, value):
+    spec = {"n_samples": 10, "n_features": 4, "n_informative": 1, "seed": 0}
+    with pytest.raises(DatasetError, match=f"{field} must be an integer"):
+        SynthSpec(**{**spec, field: value})
+    assert SynthSpec(**{**spec, field: np.int64(spec[field] or 2)})
+
+
 @pytest.mark.parametrize("field", ["class_separation", "noise_std"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_synth_spec_rejects_non_finite_and_names_field(field, value):

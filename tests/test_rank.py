@@ -67,6 +67,16 @@ def test_discretize_validation():
             discretize(np.array([1.0, 2.0]), bins)
     with pytest.raises(ValueError, match="finite"):
         discretize(np.array([1.0, np.inf]), 4)
+    assert discretize(np.arange(4.0), np.int64(2)).tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("bins", [3.5, 3.0, True, np.float64(4.0)])
+def test_a_non_integer_bin_count_is_rejected(bins):
+    with pytest.raises(ValueError, match="bin_count must be an integer"):
+        discretize(np.arange(10.0), bins)
+    train = FeatureDataset(features=np.arange(8.0).reshape(4, 2), labels=[0, 1, 0, 1])
+    with pytest.raises(ValueError, match="bin_count must be an integer"):
+        score_features(train, bin_count=bins)
 
 
 def test_columns_whose_binning_overflows_are_binned_at_a_smaller_scale():

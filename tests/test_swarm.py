@@ -194,6 +194,22 @@ def test_pso_config_validation():
         PsoConfig(update_mode="eventual")
 
 
+@pytest.mark.parametrize("field", ["population", "iterations"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True])
+def test_pso_config_rejects_a_non_integer_count(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        PsoConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        BaselineConfig(**{field: value})
+
+
+def test_pso_config_takes_numpy_integers(tiny_split):
+    config = PsoConfig(population=np.int64(2), iterations=np.int32(3), knn=KnnConfig(k=1))
+    masks = [[1, 0], [0, 1]]
+    best, trace = run_xor_pso(tiny_split, config, masks, rng=np.random.default_rng(0))
+    assert len(trace) == 3
+
+
 def test_initial_mask_validation(tiny_split):
     config = PsoConfig(population=2, iterations=1, knn=KnnConfig(k=1))
     rng = np.random.default_rng(0)

@@ -17,17 +17,16 @@ synth-gen
     sidecar.
 
 Configuration is resolved as: command-line flag > ``--config`` JSON file >
-``XORPSO_SEED`` environment variable (seed only) > built-in default.  A
-``result.json`` from a previous run can be passed straight to ``--config``;
-its embedded config echo reproduces the run.  Traces stream to disk one
-line per iteration; every other output file is written atomically.
+built-in default.  A ``result.json`` from a previous run can be passed
+straight to ``--config``; its embedded config echo reproduces the run.
+Traces stream to disk one line per iteration; every other output file is
+written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -40,6 +39,7 @@ from .data import (
     FeatureDataset,
     SplitDataset,
     SynthSpec,
+    check_seed,
     generate_synthetic,
     load_dataset,
     require_two_classes,
@@ -61,7 +61,6 @@ from .swarm import (
     selected_indices,
 )
 
-SEED_ENV_VAR = "XORPSO_SEED"
 DEFAULT_SEED = 42
 
 OPTIMIZERS = ("xor", "baseline", "oracle")
@@ -105,8 +104,7 @@ class RunConfig:
                 f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
                 f"got {self.optimizer!r}"
             )
-        if self.seed < 0:
-            raise CliError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, CliError)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -207,16 +205,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, environment, config file, and flags into a RunConfig."""
+    """Merge defaults, config file, and flags into a RunConfig."""
     merged = RunConfig().to_dict()
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            merged["seed"] = int(env_seed)
-        except ValueError:
-            raise CliError(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-            ) from None
     config_path = getattr(args, "config", None)
     if config_path is not None:
         file_values = _load_config_file(config_path)

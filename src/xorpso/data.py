@@ -36,6 +36,24 @@ def check_integer(name: str, value, error: type[ValueError] = ValueError) -> Non
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an int or a float.
+
+    numpy's integers and floats are accepted; a bool is refused although
+    Python counts it as an int.
+    """
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+def check_seed(seed, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``seed`` is a non-negative integer."""
+    check_integer("seed", seed, error)
+    if seed < 0:
+        raise error(f"seed must be >= 0, got {seed}")
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -62,8 +80,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "n_features", "n_informative", "seed"):
+        for name in ("n_samples", "n_features", "n_informative"):
             check_integer(name, getattr(self, name), DatasetError)
+        check_seed(self.seed, DatasetError)
         if self.n_samples < 4:
             raise DatasetError(f"n_samples must be >= 4, got {self.n_samples}")
         if self.n_features < 1:
@@ -73,9 +92,8 @@ class SynthSpec:
                 f"n_informative must be in [1, n_features={self.n_features}], "
                 f"got {self.n_informative}"
             )
-        if self.seed < 0:
-            raise DatasetError(f"seed must be >= 0, got {self.seed}")
         for name in ("class_separation", "noise_std"):
+            check_real(name, getattr(self, name), DatasetError)
             if not math.isfinite(getattr(self, name)):
                 raise DatasetError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.class_separation > 0:
@@ -453,10 +471,13 @@ def stratified_split(
     Raises
     ------
     DatasetError
-        Fraction outside (0, 1), fewer than two classes, or a class with
-        fewer than two samples.  With two or more classes of at least two
-        samples each, both partitions hold at least two rows.
+        Fraction not a real number in (0, 1), seed not a non-negative
+        integer, fewer than two classes, or a class with fewer than two
+        samples.  With two or more classes of at least two samples each,
+        both partitions hold at least two rows.
     """
+    check_real("validation_fraction", validation_fraction, DatasetError)
+    check_seed(seed, DatasetError)
     if not 0.0 < validation_fraction < 1.0:
         raise DatasetError(
             f"validation_fraction must be in (0, 1), got {validation_fraction}"

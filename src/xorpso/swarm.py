@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .classify import KnnConfig, knn_accuracy
-from .data import SplitDataset, check_integer
+from .data import SplitDataset, check_integer, check_real, check_seed
 from .rank import MiScores, check_swarm_size, seed_masks
 
 ASYNCHRONOUS = "asynchronous"
@@ -85,6 +85,8 @@ class PsoConfig:
     def __post_init__(self):
         check_integer("population", self.population)
         check_integer("iterations", self.iterations)
+        check_real("w_initial", self.w_initial)
+        check_real("accuracy_threshold", self.accuracy_threshold)
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
         if self.iterations < 1:
@@ -482,6 +484,7 @@ def run_seeded(
     :func:`run_xor_pso` on the XOR stream.
     ``scores`` come from the caller, so one MI scoring serves every run.
     """
+    check_seed(seed)
     check_swarm_size(config.population, split.feature_count)
     seeding, xor_rng, baseline_rng = (
         np.random.Generator(np.random.PCG64(child))

@@ -231,11 +231,8 @@ def test_workers_flag_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_workers_in_a_config_file_or_result_echo_is_one_error_line(
-    tmp_path, capsys, monkeypatch
-):
+def test_workers_in_a_config_file_or_result_echo_is_one_error_line(tmp_path, capsys):
     # runs evaluate on the calling thread; an older config may still hold workers
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
     assert _select(tmp_path / "run") == 0
     capsys.readouterr()
     result = json.loads((tmp_path / "run" / "result.json").read_text())
@@ -253,7 +250,6 @@ def test_workers_in_a_config_file_or_result_echo_is_one_error_line(
 
 def test_wall_ms_includes_the_initial_evaluation(tmp_path, monkeypatch):
     # the first evaluation is the initial population's, before iteration 0
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
     evaluate = xorpso.swarm.evaluate_particle
     calls = []
 
@@ -345,13 +341,6 @@ def test_oversized_swarm_is_rejected_before_seeding(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_negative_env_seed_is_one_error_line(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("XORPSO_SEED", "-2")
-    assert main(["select", "--synth", SMALL, "--out", str(tmp_path / "out")]) == 1
-    assert "seed must be >= 0, got -2" in _one_error_line(capsys)
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.fixture
 def umask_022():
     old = os.umask(0o022)
@@ -359,8 +348,7 @@ def umask_022():
     os.umask(old)
 
 
-def test_every_output_has_the_mode_the_umask_gives(tmp_path, monkeypatch, umask_022):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_every_output_has_the_mode_the_umask_gives(tmp_path, umask_022):
     run = ["--population", "6", "--iterations", "3", "--out"]
     assert main(["synth-gen", "--synth", SMALL, "--out", str(tmp_path / "gen")]) == 0
     data = str(tmp_path / "gen" / "synth.csv")
@@ -386,20 +374,12 @@ def _resolve(argv):
     return resolve_config(build_parser().parse_args(argv))
 
 
-def test_seed_defaults_to_42(monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_seed_defaults_to_42():
     config = _resolve(["select", "--synth", SMALL])
     assert config.seed == 42
 
 
-def test_seed_env_var_overrides_default(monkeypatch):
-    monkeypatch.setenv("XORPSO_SEED", "7")
-    config = _resolve(["select", "--synth", SMALL])
-    assert config.seed == 7
-
-
-def test_seed_config_file_overrides_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("XORPSO_SEED", "7")
+def test_seed_config_file_overrides_default(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 9, "synth": SMALL}))
     config = _resolve(["select", "--config", str(cfg)])
@@ -407,22 +387,14 @@ def test_seed_config_file_overrides_env(monkeypatch, tmp_path):
     assert config.synth == SMALL
 
 
-def test_seed_flag_overrides_everything(monkeypatch, tmp_path):
-    monkeypatch.setenv("XORPSO_SEED", "7")
+def test_seed_flag_overrides_everything(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 9, "synth": SMALL}))
     config = _resolve(["select", "--config", str(cfg), "--seed", "11"])
     assert config.seed == 11
 
 
-def test_garbage_env_seed_is_a_user_error(monkeypatch):
-    monkeypatch.setenv("XORPSO_SEED", "lots")
-    with pytest.raises(CliError, match="XORPSO_SEED"):
-        _resolve(["select", "--synth", SMALL])
-
-
-def test_flags_override_config_file(monkeypatch, tmp_path):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"population": 4, "synth": SMALL}))
     config = _resolve(["select", "--config", str(cfg), "--population", "6"])
@@ -431,8 +403,7 @@ def test_flags_override_config_file(monkeypatch, tmp_path):
 
 # --- select ---------------------------------------------------------------
 
-def test_select_writes_all_outputs(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_select_writes_all_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     assert _select(out) == 0
     printed = capsys.readouterr().out
@@ -456,8 +427,7 @@ def test_select_writes_all_outputs(tmp_path, capsys, monkeypatch):
     assert len(selected_rows) == 1 + result["selected_count"]
 
 
-def test_select_from_csv_with_custom_label_column(tmp_path, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_select_from_csv_with_custom_label_column(tmp_path):
     ds = generate_synthetic(SynthSpec(40, 4, 2, seed=2))
     data = tmp_path / "data.csv"
     save_dataset(ds, data, label_column="outcome")
@@ -481,8 +451,7 @@ def test_select_from_csv_with_custom_label_column(tmp_path, monkeypatch):
     assert json.loads((out / "result.json").read_text())["feature_count"] == 4
 
 
-def test_select_oracle_matches_library_oracle(tmp_path, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_select_oracle_matches_library_oracle(tmp_path):
     out = tmp_path / "oracle"
     code = main(
         ["select", "--synth", SMALL, "--optimizer", "oracle", "--seed", "1",
@@ -501,8 +470,7 @@ def test_select_oracle_matches_library_oracle(tmp_path, monkeypatch):
     assert read_trace(out / "trace.jsonl") == []
 
 
-def test_select_config_echo_reproduces_run(tmp_path, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_select_config_echo_reproduces_run(tmp_path):
     first = tmp_path / "a"
     again = tmp_path / "b"
     assert _select(first) == 0
@@ -515,17 +483,6 @@ def test_select_config_echo_reproduces_run(tmp_path, monkeypatch):
     rb = json.loads((again / "result.json").read_text())
     assert ra["selected_indices"] == rb["selected_indices"]
     assert ra["fitness"] == rb["fitness"]
-
-
-def test_select_env_seed_lands_in_result(tmp_path, monkeypatch):
-    monkeypatch.setenv("XORPSO_SEED", "5")
-    out = tmp_path / "env"
-    code = main(
-        ["select", "--synth", SMALL, "--population", "5", "--iterations", "3",
-         "--out", str(out)]
-    )
-    assert code == 0
-    assert json.loads((out / "result.json").read_text())["seed"] == 5
 
 
 # --- select error paths ---------------------------------------------------
@@ -730,8 +687,7 @@ def test_even_knn_k_is_a_user_error(tmp_path, capsys):
 
 # --- compare --------------------------------------------------------------
 
-def test_compare_emits_traces_and_consistent_summary(tmp_path, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_compare_emits_traces_and_consistent_summary(tmp_path):
     out = tmp_path / "cmp"
     code = main(
         [
@@ -772,8 +728,7 @@ def test_compare_emits_traces_and_consistent_summary(tmp_path, monkeypatch):
         assert float(row[4]) == statistics.median(r.gbest_selected for r in finals)
 
 
-def test_compare_single_seed_medians_are_the_finals(tmp_path, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_compare_single_seed_medians_are_the_finals(tmp_path):
     out = tmp_path / "cmp1"
     code = main(
         ["compare", "--synth", SMALL, "--population", "5", "--iterations", "4",
@@ -788,8 +743,7 @@ def test_compare_single_seed_medians_are_the_finals(tmp_path, monkeypatch):
         assert float(parts[4]) == final.gbest_selected
 
 
-def test_select_and_compare_write_the_same_trace_for_a_seed(tmp_path, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_select_and_compare_write_the_same_trace_for_a_seed(tmp_path):
     # on SMALL both baseline streams happen to give the same trace; here
     # they differ, so the test sees which stream each command uses
     run = ["--synth", "n=200,f=10,inf=3,seed=7", "--population", "6",
@@ -814,8 +768,7 @@ def test_compare_rejects_bad_seed_list(tmp_path, capsys):
 
 # --- mi-report ------------------------------------------------------------
 
-def test_mi_report_ranks_planted_features_first(tmp_path, monkeypatch):
-    monkeypatch.delenv("XORPSO_SEED", raising=False)
+def test_mi_report_ranks_planted_features_first(tmp_path):
     gen = tmp_path / "gen"
     assert main(["synth-gen", "--synth", "n=300,f=8,inf=2,sep=3.0,seed=6",
                  "--out", str(gen)]) == 0

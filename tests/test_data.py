@@ -105,6 +105,15 @@ def test_synth_spec_rejects_a_non_integer_count_and_names_field(field, value):
 
 
 @pytest.mark.parametrize("field", ["class_separation", "noise_std"])
+@pytest.mark.parametrize("value", [True, False, "2", None])
+def test_synth_spec_rejects_a_non_real_setting_and_names_field(field, value):
+    with pytest.raises(DatasetError, match=f"{field} must be a real number"):
+        SynthSpec(10, 4, 1, **{field: value})
+    assert SynthSpec(10, 4, 1, **{field: np.float32(2.0)})
+    assert SynthSpec(10, 4, 1, **{field: np.int64(2)})
+
+
+@pytest.mark.parametrize("field", ["class_separation", "noise_std"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_synth_spec_rejects_non_finite_and_names_field(field, value):
     with pytest.raises(DatasetError, match=f"{field} must be finite"):
@@ -353,6 +362,31 @@ def test_split_deterministic_and_seed_sensitive():
     c = stratified_split(ds, 0.2, seed=2)
     assert np.array_equal(a.validation.features, b.validation.features)
     assert not np.array_equal(a.validation.features, c.validation.features)
+
+
+@pytest.mark.parametrize("fraction", ["0.2", True, None])
+def test_split_rejects_a_non_real_fraction(fraction):
+    ds = generate_synthetic(SynthSpec(20, 3, 1, seed=0))
+    with pytest.raises(DatasetError, match="validation_fraction must be a real number"):
+        stratified_split(ds, fraction, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(True, "seed must be an integer"), (1.5, "seed must be an integer"),
+     (1.0, "seed must be an integer"), (-1, "seed must be >= 0, got -1")],
+)
+def test_split_rejects_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    ds = generate_synthetic(SynthSpec(20, 3, 1, seed=0))
+    with pytest.raises(DatasetError, match=message):
+        stratified_split(ds, 0.2, seed)
+
+
+def test_split_takes_numpy_numbers():
+    ds = generate_synthetic(SynthSpec(40, 4, 2, seed=6))
+    a = stratified_split(ds, 0.25, 3)
+    b = stratified_split(ds, np.float64(0.25), np.int64(3))
+    assert np.array_equal(a.validation.features, b.validation.features)
 
 
 def test_split_keeps_original_row_order():

@@ -352,6 +352,12 @@ def test_default_top_m_is_quarter_of_features():
     assert np.all(masks[0, :2] == 1)  # 8 // 4 = 2 forced bits
 
 
+@pytest.mark.parametrize("population", [3.0, 2.5, True])
+def test_a_non_integer_population_is_rejected(population):
+    with pytest.raises(ValueError, match="population must be an integer"):
+        seed_masks(_scores([0.5, 0.1]), population, rng=np.random.default_rng(0))
+
+
 def test_no_mask_is_all_zero():
     s = _scores([0.0, 0.0, 0.3])
     rng = np.random.default_rng(3)

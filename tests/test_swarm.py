@@ -203,6 +203,14 @@ def test_pso_config_rejects_a_non_integer_count(field, value):
         BaselineConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["w_initial", "accuracy_threshold"])
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_pso_config_rejects_a_non_real_setting(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        PsoConfig(**{field: value})
+    assert PsoConfig(**{field: np.float32(0.5)})
+
+
 def test_pso_config_takes_numpy_integers(tiny_split):
     config = PsoConfig(population=np.int64(2), iterations=np.int32(3), knn=KnnConfig(k=1))
     masks = [[1, 0], [0, 1]]
@@ -576,6 +584,20 @@ def test_run_seeded_equals_the_explicit_stream_sequence(synth_split, optimizer, 
         assert np.array_equal(got_best, best)
         assert _without_elapsed(got_trace) == _without_elapsed(trace)
         assert seen == got_trace
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(True, "seed must be an integer"), (1.5, "seed must be an integer"),
+     (np.float64(2.0), "seed must be an integer"), (-1, "seed must be >= 0, got -1")],
+)
+def test_run_seeded_rejects_a_seed_that_is_not_a_non_negative_integer(
+    synth_split, seed, message
+):
+    split = synth_split()
+    scores = score_features(split.train)
+    with pytest.raises(ValueError, match=message):
+        run_seeded(split, scores, PsoConfig(population=4, iterations=2), seed)
 
 
 @pytest.mark.parametrize("optimizer", ["xor", "baseline"])

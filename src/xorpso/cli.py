@@ -160,8 +160,9 @@ def parse_synth(text: str) -> SynthSpec:
     count).  Optional: ``sep`` (class separation), ``noise`` (noise std),
     ``seed`` (independent of the run seed so re-seeding an optimizer never
     changes the data); an absent one takes its :class:`SynthSpec` default.
+    A key given twice is an error.
     """
-    values = {}
+    values, repeated = {}, set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -169,7 +170,12 @@ def parse_synth(text: str) -> SynthSpec:
         if "=" not in part:
             raise CliError(f"synth spec {text!r}: expected key=value, got {part!r}")
         key, _, raw = part.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in values:
+            repeated.add(key)
+        values[key] = raw.strip()
+    if repeated:
+        raise CliError(f"synth spec {text!r}: repeated key(s) {', '.join(sorted(repeated))}")
     unknown = sorted(set(values) - set(SYNTH_KEYS))
     if unknown:
         raise CliError(f"synth spec {text!r}: unknown key(s) {', '.join(unknown)}")
@@ -205,19 +211,15 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flags into a RunConfig."""
-    merged = RunConfig().to_dict()
+    """Lay the flags over the config file's values; RunConfig fills in the rest."""
     config_path = getattr(args, "config", None)
-    if config_path is not None:
-        file_values = _load_config_file(config_path)
-        merged.update(RunConfig.from_dict({**merged, **file_values}).to_dict())
-    flag_values = {
-        key: value
-        for key, value in vars(args).items()
-        if key in merged and value is not None
-    }
-    merged.update(flag_values)
-    return RunConfig.from_dict(merged)
+    values = {} if config_path is None else _load_config_file(config_path)
+    RunConfig.from_dict(values)  # a bad file value is an error even under a flag
+    values.update(
+        (f.name, getattr(args, f.name)) for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    )
+    return RunConfig.from_dict(values)
 
 
 def _load_or_generate(config: RunConfig) -> FeatureDataset:

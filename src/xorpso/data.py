@@ -339,8 +339,10 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
 
         rows: list[list[float]] = []
         labels: list[int] = []
-        # line numbers are 1-based file lines; the header is line 1
-        for line_no, cells in enumerate(reader, start=2):
+        # a record starts on the line after the last line of the one before
+        end = reader.line_num
+        for cells in reader:
+            line_no, end = end + 1, reader.line_num
             if not cells:
                 continue
             if len(cells) != len(header):

@@ -32,6 +32,7 @@ the one place that turns a seed number into those generators.
 
 from __future__ import annotations
 
+import bisect
 import json
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -221,17 +222,16 @@ def evaluate_particle(
     if n_selected == 0:
         return 0.0, EMPTY_MASK_FITNESS
     n, threshold = split.feature_count, config.accuracy_threshold
-    target = 0
-    # no count of correct rows beats a bar at or above 2 - selected/n, the
-    # fitness of a perfect count, so such an evaluation runs in full
-    if bar is not None and bar < 2.0 - n_selected / n:
-        # fitness() of every possible count of correct rows, with its float
-        # arithmetic; fitness rises with the count, so the first count that
-        # beats the bar is the target
-        n_val = split.validation.sample_count
-        acc = np.arange(n_val + 1) / n_val
-        fit = np.where(acc < threshold, acc, 2.0 - n_selected / n)
-        target = int(np.argmax(fit > bar))
+    n_val = split.validation.sample_count
+    # fitness never falls as the count of correct rows grows, so the first
+    # count whose fitness beats the bar is the target
+    target = 0 if bar is None else bisect.bisect_right(
+        range(n_val + 1), bar, key=lambda c: fitness(c / n_val, n_selected, n, threshold))
+    # no count beats the bar, so the evaluation runs in full; ROADMAP item 1
+    # makes this a skip once the traced benchmark no longer needs the calls
+    # (it reports classify.eval_ms_p98 only from >= 500 knn_accuracy calls)
+    if target > n_val:
+        target = 0
     acc = knn_accuracy(split, mask, config.knn, target, misses=misses)
     if acc is None:
         return None
@@ -315,25 +315,20 @@ def _xor_move(x, v, pbest, gbest, w, u):
 def _validate_initial_masks(initial_masks, config: PsoConfig, n_features: int):
     """The initial masks as a new ``(population, n_features)`` int8 array.
 
-    Checked with whole-array expressions; a rejection names the first bad
-    mask's index.
+    Shapes are checked one mask at a time, bits with one whole-array
+    expression; a rejection names the first bad mask's index.
     """
     if len(initial_masks) != config.population:
         raise ValueError(
             f"got {len(initial_masks)} initial masks for a population of "
             f"{config.population}"
         )
-    try:
-        masks = np.asarray(initial_masks)
-    except ValueError:  # rows of different lengths
-        masks = None
-    if masks is None or masks.shape != (config.population, n_features):
-        for i, mask in enumerate(initial_masks):
-            if np.shape(mask) != (n_features,):
-                raise ValueError(
-                    f"initial mask {i} has shape {np.shape(mask)}, "
-                    f"expected ({n_features},)"
-                )
+    for i, mask in enumerate(initial_masks):
+        if np.shape(mask) != (n_features,):
+            raise ValueError(
+                f"initial mask {i} has shape {np.shape(mask)}, expected ({n_features},)"
+            )
+    masks = np.asarray(initial_masks)
     # checked before the cast, which would truncate 0.5 to 0 and fail on NaN
     bad = ~((masks == 0) | (masks == 1)).all(axis=1)
     if bad.any():
@@ -504,8 +499,8 @@ def brute_force_best(
     """Exhaustively score every non-empty mask; ground truth for small instances.
 
     Ties go to the mask with fewer selected features, then to the
-    lexicographically smallest bit vector.  A mask whose ceiling
-    ``2 - selected/n`` is below the best fitness so far is not evaluated,
+    lexicographically smallest bit vector.  A mask whose ceiling, its
+    fitness at accuracy 1, is below the best fitness so far is not evaluated,
     which changes no result.  Guarded at
     ``BRUTE_FORCE_MAX_FEATURES`` features since the search is O(2^n).
     """
@@ -520,9 +515,9 @@ def brute_force_best(
     for m in range(1, 1 << n):
         mask = ((m >> bit_positions) & 1).astype(np.int8)
         selected = selected_count(mask)
-        # no fitness exceeds 2 - selected/n (below the threshold it is an
-        # accuracy under 1), so such a mask can neither beat nor tie the best
-        if 2.0 - selected / n < best_fit:
+        # no accuracy scores above a perfect one, so a mask whose ceiling is
+        # below the best can neither beat nor tie it
+        if fitness(1.0, selected, n, config.accuracy_threshold) < best_fit:
             continue
         _, fit = evaluate_particle(mask, split, config)
         key = (-fit, selected, tuple(mask))
@@ -537,7 +532,8 @@ def read_trace(path) -> list[IterationRecord]:
     """Read a JSONL trace, dropping an unterminated trailing fragment.
 
     A final line without a newline is an interrupted write and is rejected;
-    a malformed line anywhere else raises.
+    a malformed line anywhere else raises, as does a field whose value is
+    not of its annotated type (an int field takes no float, no field a bool).
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")
@@ -549,8 +545,10 @@ def read_trace(path) -> list[IterationRecord]:
             continue
         try:
             obj = json.loads(line)
+            for f in fields(IterationRecord):
+                (check_integer if f.type == "int" else check_real)(f.name, obj[f.name])
             records.append(IterationRecord(**{k: obj[k] for k in TRACE_FIELDS}))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed trace line {i + 1}: {exc}") from None
     return records
 

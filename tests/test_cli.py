@@ -82,6 +82,8 @@ def test_parse_synth_full_and_defaults():
     assert spec.class_separation == 2.0
     assert spec.noise_std == 1.0
     assert spec.seed == 0
+    # empty parts are skipped
+    assert parse_synth("n=40,,f=5,inf=2,") == spec
 
 
 def test_parse_synth_errors():
@@ -91,6 +93,9 @@ def test_parse_synth_errors():
         parse_synth("samples=40,f=5,inf=2")
     with pytest.raises(CliError, match="key=value"):
         parse_synth("n=40,f=5,oops")
+    # a repeated key is refused, not silently taken from its last part
+    with pytest.raises(CliError, match=r"repeated key\(s\) f, n$"):
+        parse_synth("n=40,f=5,inf=2,n=10,f=3")
     with pytest.raises(CliError):
         parse_synth("n=forty,f=5,inf=2")
 
@@ -292,6 +297,11 @@ def test_wall_ms_includes_the_initial_evaluation(tmp_path, monkeypatch):
         # one trace per optimizer and seed, so a repeated seed would overwrite one
         pytest.param(["compare", "--seeds", "1,1"], "distinct", id="repeated-seeds"),
         pytest.param(["compare", "--seeds", "0,-1"], ">= 0", id="negative-seeds"),
+        pytest.param(["compare", "--seeds", ","], "at least one seed", id="no-seeds"),
+        # checked before any data is built
+        pytest.param(["synth-gen", "--synth", "n=400,f=64,inf=8,n=10"],
+                     "synth spec 'n=400,f=64,inf=8,n=10': repeated key(s) n",
+                     id="synth-repeated-key"),
         pytest.param(["synth-gen", "--synth", f"{SMALL},noise=nan"],
                      "noise_std must be finite", id="synth-noise-nan"),
         pytest.param(["synth-gen", "--synth", f"{SMALL},sep=inf"],
@@ -566,6 +576,28 @@ def test_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, flag, text):
     assert str(path) in err
     assert "UTF-8" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(lambda path: None, "cannot read config file", id="missing"),
+        pytest.param(lambda path: path.mkdir(), "cannot read config file",
+                     id="directory"),
+        pytest.param(lambda path: path.write_text('{"seed": 1'), "is not valid JSON",
+                     id="not-json"),
+        pytest.param(lambda path: path.write_text("[1, 2]"), "must hold a JSON object",
+                     id="array"),
+    ],
+)
+def test_unusable_config_file_is_one_error_line(tmp_path, capsys, make, message):
+    cfg, out = tmp_path / "run.json", tmp_path / "out"
+    make(cfg)
+    assert main(["select", "--synth", SMALL, "--config", str(cfg), "--out", str(out)]) == 1
+    err = _one_error_line(capsys)
+    assert str(cfg) in err
+    assert message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["select", "mi-report"])

@@ -75,6 +75,21 @@ def test_dataset_rejects_float_labels_outside_int64(label):
         FeatureDataset(features=[[0.0], [1.0]], labels=[0.0, label])
 
 
+def test_dataset_rejects_features_that_are_not_a_2d_matrix_with_columns():
+    with pytest.raises(DatasetError, match="must be 2-D, got ndim=3"):
+        FeatureDataset(features=np.zeros((3, 2, 1)), labels=[0, 1, 0])
+    with pytest.raises(DatasetError, match="at least one feature column"):
+        FeatureDataset(features=np.zeros((3, 0)), labels=[0, 1, 0])
+
+
+def test_split_rejects_parts_of_different_widths():
+    def part(width):
+        return FeatureDataset(features=np.zeros((2, width)), labels=[0, 1])
+
+    with pytest.raises(DatasetError, match="disagree on feature count"):
+        SplitDataset(train=part(2), validation=part(3))
+
+
 def test_dataset_rejects_single_sample():
     with pytest.raises(DatasetError, match="two samples"):
         FeatureDataset(features=[[0.0, 1.0]], labels=[0])
@@ -85,6 +100,8 @@ def test_dataset_rejects_single_sample():
 def test_synth_spec_validation():
     with pytest.raises(DatasetError):
         SynthSpec(n_samples=2, n_features=4, n_informative=1)
+    with pytest.raises(DatasetError, match="n_features must be >= 1, got 0"):
+        SynthSpec(n_samples=10, n_features=0, n_informative=1)
     with pytest.raises(DatasetError):
         SynthSpec(n_samples=10, n_features=4, n_informative=5)
     with pytest.raises(DatasetError):
@@ -270,6 +287,32 @@ def test_load_reports_bad_cell_with_line_and_column(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("f0,label\n1.0,0\noops,1\n")
     with pytest.raises(DatasetError, match=r"line 3, column 'f0'.*'oops'"):
+        load_dataset(path)
+
+
+def test_load_names_the_line_a_record_starts_on_after_a_multi_line_cell(tmp_path):
+    path = tmp_path / "data.csv"
+    # the quoted label spans lines 2 and 3, so the third record is on line 5
+    path.write_text('a,label\n1,"0\n"\n3,1\nbad,0\n')
+    with pytest.raises(DatasetError, match=r"line 5, column 'a'.*'bad'"):
+        load_dataset(path)
+    path.write_text('a,label\n1,"0\n"\n3,1\n4,0,9\n')
+    with pytest.raises(DatasetError, match="row at line 5 has 3 cells, expected 2"):
+        load_dataset(path)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,label\n1.0,0\n\n2.0,1\n\n")
+    ds = load_dataset(path)
+    assert ds.features.tolist() == [[1.0], [2.0]]
+    assert ds.labels.tolist() == [0, 1]
+
+
+def test_load_rejects_a_file_with_only_the_label_column(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("label\n0\n1\n")
+    with pytest.raises(DatasetError, match="no feature columns besides 'label'"):
         load_dataset(path)
 
 

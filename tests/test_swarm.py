@@ -533,6 +533,45 @@ def test_bar_at_the_full_fitness_stops_and_below_it_does_not(synth_split):
     assert phases == {False, True}
 
 
+TARGET_SPLIT = standardize_split(stratified_split(
+    generate_synthetic(SynthSpec(n_samples=40, n_features=6, n_informative=2, seed=7)),
+    0.25, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stop_target_is_the_first_count_whose_fitness_beats_the_bar(data):
+    split, n = TARGET_SPLIT, TARGET_SPLIT.feature_count
+    n_val = split.validation.sample_count
+    mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                              .filter(any)), dtype=np.int8)
+    selected = selected_count(mask)
+    threshold = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.integers(1, n_val).map(lambda c: c / n_val)))
+    config = PsoConfig(accuracy_threshold=threshold)
+    fits = [fitness(c / n_val, selected, n, threshold) for c in range(n_val + 1)]
+    # bars on a count's fitness, one ulp either side of it, or anywhere
+    bar = data.draw(st.one_of(
+        st.just(-np.inf),
+        st.sampled_from(fits),
+        st.tuples(st.sampled_from(fits), st.sampled_from([-np.inf, np.inf]))
+        .map(lambda pair: np.nextafter(*pair)),
+        st.floats(-1.0, 2.0),
+    ))
+    targets = []
+    inner = xorpso.swarm.knn_accuracy
+
+    def spy(split, mask, config, target=0, **kwargs):
+        targets.append(target)
+        return inner(split, mask, config, target, **kwargs)
+
+    with mock.patch.object(xorpso.swarm, "knn_accuracy", spy):
+        evaluate_particle(mask, split, config, bar)
+    # no count beats the bar: target 0, the evaluation runs in full
+    assert targets == [next((c for c, fit in enumerate(fits) if fit > bar), 0)]
+
+
 def test_same_seed_reproduces_different_seed_diverges(synth_split):
     split = synth_split(n_samples=60, n_features=6, n_informative=2)
     config = PsoConfig(population=6, iterations=10)
@@ -868,6 +907,19 @@ def test_reader_rejects_malformed_interior_line(tmp_path):
     for bad in ["not json", "5", "null", "[1, 2]", '"x"']:
         path.write_text(lines[0] + "\n" + bad + "\n" + lines[1] + "\n")
         with pytest.raises(ValueError, match="malformed trace line 2"):
+            read_trace(path)
+
+
+@pytest.mark.parametrize("name", TRACE_FIELDS)
+def test_reader_rejects_a_field_of_the_wrong_type(tmp_path, name):
+    path = tmp_path / "trace.jsonl"
+    good = [json.dumps(r.to_dict()) for r in _records()]
+    # every field refuses a bool; a count refuses a float too
+    integral = name in ("iteration", "gbest_selected")
+    for value in ["1", None, [1], {}, True, *([2.0] if integral else [])]:
+        bad = json.dumps({**_records()[0].to_dict(), name: value})
+        path.write_text(f"{good[0]}\n{bad}\n{good[1]}\n")
+        with pytest.raises(ValueError, match=f"malformed trace line 2: {name} must be"):
             read_trace(path)
 
 

@@ -207,10 +207,15 @@ def knn_accuracy(
     ``np.argsort(-misses, kind="stable")`` order (else file order), and
     each row classified wrong adds 1 to its count.  Threads may share it
     unlocked, since a lost increment changes only the visit order, never
-    an accuracy.  Raises ValueError, before any row is classified, on a
-    malformed ``misses``, a mask of the wrong length or with no feature
-    selected, or a k above the training row count.
+    an accuracy.  A target above the row count is unreachable: the first
+    chunk returns None.  Raises ValueError, before any row is classified,
+    on a target that is not a non-negative integer, a malformed
+    ``misses``, a mask of the wrong length or with no feature selected, or
+    a k above the training row count.
     """
+    check_integer("target", target)
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
     n_val = split.validation.sample_count
     if misses is not None and (not isinstance(misses, np.ndarray)
                                or misses.dtype.kind != "i" or misses.shape != (n_val,)

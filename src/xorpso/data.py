@@ -12,7 +12,6 @@ import io
 import json
 import math
 import os
-import secrets
 from dataclasses import dataclass, asdict
 from functools import cached_property
 from pathlib import Path
@@ -235,7 +234,7 @@ def write_atomic(path, text: str) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

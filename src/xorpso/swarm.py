@@ -24,10 +24,12 @@ draw order: one ``rng.random((P, n, c))`` block at the start of every
 iteration, c = 2 for the XOR optimizer and 3 for the baseline; row i is
 particle i's block, laid out bit-major.  Evaluation draws nothing, and an
 evaluation that stops once it cannot beat its particle's personal best
-changes nothing.  Particles are evaluated one at a time on the calling
-thread.  Given (generator state, config, dataset), every trace field
-except ``elapsed_ms`` is reproducible bit-for-bit.  :func:`run_seeded` is
-the one place that turns a seed number into those generators.
+changes nothing; a mask that selects too many features to beat it at any
+accuracy stops after its first chunk of validation rows.  Particles are
+evaluated one at a time on the calling thread.  Given (generator state,
+config, dataset), every trace field except ``elapsed_ms`` is reproducible
+bit-for-bit.  :func:`run_seeded` is the one place that turns a seed
+number into those generators.
 """
 
 from __future__ import annotations
@@ -214,8 +216,8 @@ def evaluate_particle(
     Identical inputs give identical outputs.  With no ``bar`` every
     validation row is classified.  With a ``bar``, a non-empty mask's
     evaluation stops, returning None, once its fitness can no longer
-    exceed ``bar``; when no accuracy could exceed it, every row is
-    classified.  ``misses`` is passed to
+    exceed ``bar``; when no accuracy could exceed it, it stops after
+    one chunk of rows.  ``misses`` is passed to
     :func:`~xorpso.classify.knn_accuracy`.
     """
     n_selected = selected_count(mask)
@@ -224,14 +226,10 @@ def evaluate_particle(
     n, threshold = split.feature_count, config.accuracy_threshold
     n_val = split.validation.sample_count
     # fitness never falls as the count of correct rows grows, so the first
-    # count whose fitness beats the bar is the target
+    # count whose fitness beats the bar is the target; when none does, the
+    # target is n_val + 1 and the evaluation stops after its first chunk
     target = 0 if bar is None else bisect.bisect_right(
         range(n_val + 1), bar, key=lambda c: fitness(c / n_val, n_selected, n, threshold))
-    # no count beats the bar, so the evaluation runs in full; ROADMAP item 1
-    # makes this a skip once the traced benchmark no longer needs the calls
-    # (it reports classify.eval_ms_p98 only from >= 500 knn_accuracy calls)
-    if target > n_val:
-        target = 0
     acc = knn_accuracy(split, mask, config.knn, target, misses=misses)
     if acc is None:
         return None

@@ -330,6 +330,25 @@ def test_malformed_misses_is_rejected_before_any_row(misses, synth_split,
     assert np.array_equal(misses, before)
 
 
+@pytest.mark.parametrize("target, message", [
+    (-1, "target must be >= 0, got -1"), (2.5, "target must be an integer"),
+    (True, "target must be an integer"), (np.float64(3.0), "target must be an integer"),
+    (None, "target must be an integer"),
+], ids=["negative", "float", "bool", "numpy-float", "None"])
+def test_malformed_target_is_rejected_before_any_row(target, message, synth_split,
+                                                     monkeypatch):
+    split = _repro_split(synth_split)
+    mask, config = np.ones(8, dtype=np.int8), KnnConfig(k=5)
+    # a numpy integer is a target, and one above the row count is unreachable
+    assert knn_accuracy(split, mask, config, np.int64(1)) == 0.55
+    assert knn_accuracy(split, mask, config, 41) is None
+    monkeypatch.setattr(xorpso.classify, "cdist", None)  # no row may be classified
+    misses = np.zeros(40, dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        knn_accuracy(split, mask, config, target, misses=misses)
+    assert not misses.any()
+
+
 def test_a_visit_order_is_no_positional_argument(synth_split):
     # a permutation passed where a row order used to go is refused, not
     # read as counts; the old order 0..34 of 40 rows gave 0.575, not 0.55
@@ -512,15 +531,26 @@ def test_recheck_sum_equals_scipy_bit_for_bit(n_val, n_train, m):
     assert got.tobytes() == want.tobytes()
 
 
-def test_fresh_import_loads_no_scipy():
+def _loaded_by_fresh_import(package):
+    """Names of ``package`` and its submodules that a fresh ``import xorpso`` loads."""
     src = Path(xorpso.classify.__file__).resolve().parents[1]
     code = ("import sys, xorpso; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_fresh_import_loads_no_scipy():
+    assert _loaded_by_fresh_import("scipy") == "[]"
+
+
+def test_fresh_import_loads_no_secrets():
+    # secrets pulls in hmac and OpenSSL's _hashlib; write_atomic names its
+    # temporary file from os.urandom instead
+    assert _loaded_by_fresh_import("secrets") == "[]"
 
 
 def test_a_whole_pipeline_never_imports_numpy_ma():

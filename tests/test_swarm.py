@@ -42,6 +42,7 @@ from xorpso import (
     stratified_split,
     xor_velocity_update,
 )
+from xorpso.classify import CHUNK_ROWS
 from xorpso.swarm import TRACE_FIELDS
 
 
@@ -442,6 +443,29 @@ def test_stopped_evaluations_reach_no_best_trace_or_callback(synth_split, mode):
 
 
 @pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
+def test_unreachable_bars_change_no_run(synth_split, mode):
+    # at this threshold some moves select too many features to beat their
+    # personal best at any accuracy
+    split, masks = _tall_run_inputs(synth_split)
+    config = PsoConfig(population=6, iterations=8, update_mode=mode,
+                       accuracy_threshold=0.6)
+    n_val = split.validation.sample_count
+    targets = []
+    inner = xorpso.swarm.knn_accuracy
+
+    def spy(split, mask, config, target=0, **kwargs):
+        targets.append(target)
+        return inner(split, mask, config, target, **kwargs)
+
+    with mock.patch.object(xorpso.swarm, "knn_accuracy", spy):
+        got = _observed_run(run_xor_pso, split, config, masks, 0)
+    assert any(target > n_val for target in targets)
+    with mock.patch.object(xorpso.swarm, "evaluate_particle", _full_evaluation):
+        want = _observed_run(run_xor_pso, split, config, masks, 0)
+    _assert_same_runs(got, want)
+
+
+@pytest.mark.parametrize("mode", ["asynchronous", "synchronous"])
 def test_every_nonempty_mask_reaches_the_wrapped_calls(synth_split, mode):
     # a benchmark wraps these three module globals by name and counts calls
     split, masks = _tall_run_inputs(synth_split)
@@ -520,16 +544,14 @@ def test_bar_at_the_full_fitness_stops_and_below_it_does_not(synth_split):
         for bits in ([1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1, 0, 0], [1] * 8):
             mask = np.array(bits, dtype=np.int8)
             full = evaluate_particle(mask, split, config)
-            # equal fitness never replaces a best, so it is not worth finishing;
-            # above the threshold no accuracy beats it, so it runs in full
-            above = full[0] >= threshold
-            phases.add(above)
-            at_bar = evaluate_particle(mask, split, config, full[1])
-            assert at_bar == (full if above else None)
+            # equal fitness never replaces a best, so it is not worth finishing,
+            # whether or not some accuracy could beat it (below the threshold)
+            phases.add(full[0] >= threshold)
+            assert evaluate_particle(mask, split, config, full[1]) is None
             below = np.nextafter(full[1], -np.inf)
             assert evaluate_particle(mask, split, config, below) == full
-            # no accuracy beats a bar of 2, so the evaluation runs in full
-            assert evaluate_particle(mask, split, config, 2.0) == full
+            # no accuracy beats a bar of 2
+            assert evaluate_particle(mask, split, config, 2.0) is None
     assert phases == {False, True}
 
 
@@ -568,8 +590,37 @@ def test_stop_target_is_the_first_count_whose_fitness_beats_the_bar(data):
 
     with mock.patch.object(xorpso.swarm, "knn_accuracy", spy):
         evaluate_particle(mask, split, config, bar)
-    # no count beats the bar: target 0, the evaluation runs in full
-    assert targets == [next((c for c, fit in enumerate(fits) if fit > bar), 0)]
+    # no count beats the bar: the target n_val + 1 is out of reach
+    assert targets == [next((c for c, fit in enumerate(fits) if fit > bar), n_val + 1)]
+
+
+@pytest.mark.parametrize("n_samples", [200, 40])
+def test_an_unreachable_bar_classifies_one_chunk(synth_split, monkeypatch, n_samples):
+    split = synth_split(n_samples=n_samples, n_features=8, n_informative=2,
+                        class_separation=0.8)
+    n_val = split.validation.sample_count
+    mask = np.ones(8, dtype=np.int8)
+    wrong = np.zeros(n_val, dtype=np.int64)
+    knn_accuracy(split, mask, KnnConfig(), misses=wrong)
+    before = np.random.default_rng(0).integers(0, 4, n_val)
+    visited = np.argsort(-before, kind="stable")[:CHUNK_ROWS]
+    assert wrong[visited].any()
+    rows = []
+    cdist = xorpso.classify.cdist
+
+    def counting(valid, *args, **kwargs):
+        rows.append(len(valid))
+        return cdist(valid, *args, **kwargs)
+
+    monkeypatch.setattr(xorpso.classify, "cdist", counting)
+    misses = before.copy()
+    # the full mask's fitness is the most any count reaches
+    assert evaluate_particle(mask, split, PsoConfig(accuracy_threshold=0.01), 1.0,
+                             misses=misses) is None
+    assert rows == [min(CHUNK_ROWS, n_val)]
+    want = before.copy()
+    want[visited] += wrong[visited]
+    assert np.array_equal(misses, want)
 
 
 def test_same_seed_reproduces_different_seed_diverges(synth_split):

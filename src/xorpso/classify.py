@@ -5,8 +5,10 @@ scores accuracy on the validation rows.  Search is brute-force and exact,
 with deterministic tie-breaking, so repeated evaluations of the same mask
 are bit-for-bit identical.  One GEMM gives every distance to within a
 proven bound; only the pairs the bound cannot order are summed again
-exactly, column by column.  An evaluation given a target count of correct
-rows classifies them in chunks and stops once the target is out of reach.
+exactly, column by column.  Every evaluation classifies the validation
+rows ``CHUNK_ROWS`` at a time, so its work memory grows linearly in the row
+count; one given a target count of correct rows stops once the target is
+out of reach.
 :func:`knn_accuracy` is the one evaluation routine; a mask that selects no
 feature is a ValueError.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from .data import SplitDataset, check_integer
 
 
-# validation rows classified per step of an evaluation that may stop early
+# validation rows classified per step of an evaluation
 CHUNK_ROWS = 32
 
 # unit roundoff of float64, u in Higham's notation
@@ -171,10 +173,12 @@ _local = threading.local()
 def _scratch(shape: tuple[int, int]):
     """This thread's distance, partition and chosen matrices of ``shape``.
 
-    The evaluation's GEMM filter works in them, and reuses them from call
-    to call while the shape holds, so it writes into pages it already owns
-    (17 B per entry).  Each calling thread has its own, so threads that
-    evaluate at once never share one; none may escape a call.
+    The evaluation's GEMM filter works in row views of them, at most
+    ``CHUNK_ROWS`` rows × the training rows (17 B per entry), and reuses
+    them from chunk to chunk and from call to call while the shape holds,
+    so it writes into pages it already owns.  Each calling thread has its
+    own, so threads that evaluate at once never share one; none may escape
+    a call.
     """
     buffers = getattr(_local, "buffers", None)
     if buffers is None or buffers[0].shape != shape:
@@ -196,22 +200,21 @@ def knn_accuracy(
     Each validation row is predicted by a vote of its k nearest training
     rows (Euclidean distance over the mask's columns).  Ties are
     deterministic: equal distances prefer the lower training row, equal
-    votes the lower class.  With a ``target`` (a count of rows), the rows
-    are classified ``CHUNK_ROWS`` at a time, and the evaluation stops,
+    votes the lower class.  The rows are classified ``CHUNK_ROWS`` at a
+    time.  With a ``target`` (a count of rows), the evaluation stops,
     returning None, once the rows already wrong leave fewer than
-    ``target`` that can be right.  A result that is not None is exact
-    whatever the order, since every row is predicted on its own.  A target
-    of 0 never stops and classifies all rows at once.  ``misses``, when
-    given, holds one count per validation row (a writeable 1-D signed
-    integer array, file order): a target visits the rows in
-    ``np.argsort(-misses, kind="stable")`` order (else file order), and
-    each row classified wrong adds 1 to its count.  Threads may share it
-    unlocked, since a lost increment changes only the visit order, never
-    an accuracy.  A target above the row count is unreachable: the first
-    chunk returns None.  Raises ValueError, before any row is classified,
-    on a target that is not a non-negative integer, a malformed
-    ``misses``, a mask of the wrong length or with no feature selected, or
-    a k above the training row count.
+    ``target`` that can be right; a target of 0 never stops.  A result
+    that is not None is exact whatever the order, since every row is
+    predicted on its own.  ``misses``, when given, holds one count per
+    validation row (a writeable 1-D signed integer array, file order): the
+    rows are visited in ``np.argsort(-misses, kind="stable")`` order (else
+    file order), and each row classified wrong adds 1 to its count.
+    Threads may share it unlocked, since a lost increment changes only the
+    visit order, never an accuracy.  A target above the row count is
+    unreachable: the first chunk returns None.  Raises ValueError, before
+    any row is classified, on a target that is not a non-negative integer,
+    a malformed ``misses``, a mask of the wrong length or with no feature
+    selected, or a k above the training row count.
     """
     check_integer("target", target)
     if target < 0:
@@ -240,30 +243,23 @@ def knn_accuracy(
     # Fortran-ordered, and the distance step would read its rows at a stride
     train = np.take(split.train.features, selected, axis=1)
     valid = np.take(split.validation.features, selected, axis=1)
-    labels = split.validation.labels
-    visit = np.arange(n_val)  # the file-order row of each visited row
-    # a target of 0 never stops, so no order can save time
-    if target and misses is not None:
-        visit = np.argsort(-misses, kind="stable")
-        valid, labels = valid[visit], labels[visit]
-    # each chunk's work matrices are row views of this thread's full-size
-    # buffers, and the distance step and the selection act row by row, so a
-    # row's prediction does not depend on its chunk
-    buffers = _scratch((n_val, train.shape[0]))
+    visit = np.arange(n_val) if misses is None else np.argsort(-misses, kind="stable")
+    # the distance step and the selection act row by row, so a row's
+    # prediction depends neither on its chunk nor on the visit order
+    buffers = _scratch((min(CHUNK_ROWS, n_val), train.shape[0]))
     # votes are counted per present class, so no cost depends on label
     # values; argmax takes the first maximum, so ties go to the lower class
     classes = split.train.classes
-    chunk = CHUNK_ROWS if target else n_val
     allowed = n_val - target  # the most wrong rows that can still reach target
     errors = 0
-    for start in range(0, n_val, chunk):
-        rows = slice(start, start + chunk)
-        dist, part, chosen = (buffer[rows] for buffer in buffers)
+    for start in range(0, n_val, CHUNK_ROWS):
+        rows = visit[start : start + CHUNK_ROWS]
+        dist, part, chosen = (buffer[: rows.size] for buffer in buffers)
         nearest = _nearest_exact(valid[rows], train, config.k, dist, part, chosen)
         counts = (split.train.labels[nearest][:, :, None] == classes).sum(axis=1)
-        wrong = classes[np.argmax(counts, axis=1)] != labels[rows]
+        wrong = classes[np.argmax(counts, axis=1)] != split.validation.labels[rows]
         if misses is not None:
-            misses[visit[rows]] += wrong
+            misses[rows] += wrong
         errors += int(np.count_nonzero(wrong))
         if errors > allowed:
             return None

@@ -423,6 +423,9 @@ def generate_synthetic(spec: SynthSpec) -> FeatureDataset:
     informative = np.sort(
         rng.choice(spec.n_features, size=spec.n_informative, replace=False)
     )
+    # the matrix comes first, so a spec too large for memory fails before any
+    # per-row array is built
+    features = rng.standard_normal((spec.n_samples, spec.n_features))
     n1 = spec.n_samples // 2
     n0 = spec.n_samples - n1
     labels = np.concatenate(
@@ -431,9 +434,7 @@ def generate_synthetic(spec: SynthSpec) -> FeatureDataset:
     shift = np.where(labels == 1, spec.class_separation / 2.0, -spec.class_separation / 2.0)
     try:
         with np.errstate(over="raise"):
-            features = spec.noise_std * rng.standard_normal(
-                (spec.n_samples, spec.n_features)
-            )
+            features *= spec.noise_std
             features[:, informative] += shift[:, None]
     except FloatingPointError:
         raise DatasetError(

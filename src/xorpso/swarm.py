@@ -478,7 +478,6 @@ def run_seeded(
     ``scores`` come from the caller, so one MI scoring serves every run.
     """
     check_seed(seed)
-    check_swarm_size(config.population, split.feature_count)
     seeding, xor_rng, baseline_rng = (
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(seed).spawn(3)

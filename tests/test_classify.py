@@ -286,6 +286,11 @@ def test_early_stopping_count_is_exact_or_below_target(data):
     wrong = np.array(argsort_predict(split, mask, k)) != split.validation.labels
     full = n_val - np.count_nonzero(wrong)
     config = KnnConfig(k=k)
+    # a full evaluation visits the rows in the counts' order too
+    misses = before.copy()
+    assert (knn_accuracy(split, mask, config, misses=misses)
+            == knn_accuracy(split, mask, config) == full / n_val)
+    assert np.array_equal(misses, before + wrong)
     misses = before.copy()
     got = knn_accuracy(split, mask, config, target, misses=misses)
     if got is not None:
@@ -372,8 +377,8 @@ def test_threads_sharing_misses_end_with_exact_counts(synth_split):
     config = KnnConfig(k=5)
     wrong = [predict(split, mask, config) != split.validation.labels
              for mask in masks]
-    # a target of 1 classifies every row here, in chunks, in the order the
-    # shared counts give at the call; a target of 0 takes one chunk
+    # targets 0 and 1 both classify every row here, in chunks, in the order
+    # the shared counts give at the call
     assert all(np.count_nonzero(w) < n_val for w in wrong)
     rounds = 25
     misses = np.zeros(n_val, dtype=np.int64)
@@ -634,7 +639,7 @@ def test_warm_evaluation_allocates_less_than_one_distance_matrix(synth_split):
     assert peak < 160 * 640 * 8
 
 
-def test_stopping_evaluation_chunks_reuse_the_full_size_buffers(synth_split):
+def test_stopping_evaluation_chunks_reuse_the_chunk_buffers(synth_split):
     split = synth_split(n_samples=800, n_features=32, n_informative=6,
                         data_seed=11, split_seed=3, class_separation=1.0)
     mask = np.zeros(32, dtype=np.int8)
@@ -644,23 +649,42 @@ def test_stopping_evaluation_chunks_reuse_the_full_size_buffers(synth_split):
     assert knn_accuracy(split, mask, config, 160, misses=misses) is None
     tracemalloc.start()
     try:
-        # one chunk after another, then stops; no buffer of chunk shape is made
+        # one chunk after another, then stops; both reuse the work matrices
+        # the first call made, so neither allocates one chunk's set
         assert knn_accuracy(split, mask, config, 1, misses=misses) is not None
         assert knn_accuracy(split, mask, config, 160, misses=misses) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 640 * 8
+    assert peak < CHUNK_ROWS * 640 * 17
+
+
+def test_full_evaluation_memory_does_not_grow_with_the_square_of_the_rows(synth_split):
+    # 2000 x 8000 work matrices would take 272 MB; chunks of CHUNK_ROWS rows
+    # take 4.4 MB
+    split = synth_split(n_samples=10_000, n_features=2, n_informative=1)
+    assert (split.validation.sample_count, split.train.sample_count) == (2000, 8000)
+    mask, config = np.ones(2, dtype=np.int8), KnnConfig(k=5)
+    # warm, but on another split, so the traced call makes its work matrices
+    knn_accuracy(_repro_split(synth_split), np.ones(8, dtype=np.int8), config)
+    tracemalloc.start()
+    try:
+        knn_accuracy(split, mask, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.fixture
 def cdist_layouts(monkeypatch):
-    """Record whether both operands of every k-NN distance step are C-contiguous."""
+    """Record whether both operands of every k-NN distance step are
+    C-contiguous, and how many validation rows it gets."""
     seen = []
     distance_step = xorpso.classify.cdist
 
     def recording(valid, train, out):
-        seen.append((valid.flags.c_contiguous, train.flags.c_contiguous))
+        seen.append((valid.flags.c_contiguous, train.flags.c_contiguous, len(valid)))
         return distance_step(valid, train, out)
 
     monkeypatch.setattr(xorpso.classify, "cdist", recording)
@@ -668,15 +692,18 @@ def cdist_layouts(monkeypatch):
 
 
 def _every_operand_c_contiguous(seen):
-    return bool(seen) and all(a and b for a, b in seen)
+    return bool(seen) and all(a and b for a, b, _ in seen)
 
 
 def test_cdist_gets_c_contiguous_columns_in_file_order(synth_split, cdist_layouts):
-    split = synth_split(n_samples=120, n_features=40, n_informative=4)
+    split = synth_split(n_samples=400, n_features=40, n_informative=4)
+    assert split.validation.sample_count == 2 * CHUNK_ROWS + 16
     mask = np.zeros(40, dtype=np.int8)
     mask[::3] = 1
     knn_accuracy(split, mask, KnnConfig(k=5))
     assert _every_operand_c_contiguous(cdist_layouts)
+    # a full evaluation works in chunks too, so no work matrix is taller
+    assert [rows for *_, rows in cdist_layouts] == [CHUNK_ROWS, CHUNK_ROWS, 16]
 
 
 def test_cdist_gets_c_contiguous_columns_in_ordered_chunks(synth_split, cdist_layouts):

@@ -339,10 +339,14 @@ def test_rejected_setting_leaves_no_output_directory(tmp_path, capsys, argv, mes
 @pytest.mark.parametrize("command", ["select", "compare"])
 def test_oversized_swarm_is_rejected_before_seeding(tmp_path, capsys, monkeypatch,
                                                     command):
-    def no_seeding(*args, **kwargs):
-        raise AssertionError("seed_masks was called for an oversized swarm")
+    class NoDraws:
+        def random(self, *args, **kwargs):
+            raise AssertionError("masks were drawn for an oversized swarm")
 
-    monkeypatch.setattr("xorpso.swarm.seed_masks", no_seeding)
+    seed_masks = xorpso.swarm.seed_masks
+    monkeypatch.setattr("xorpso.swarm.seed_masks",
+                        lambda scores, population, *, rng:
+                        seed_masks(scores, population, rng=NoDraws()))
     out = tmp_path / "out"
     argv = [command, "--synth", "n=60,f=6,inf=2", "--population", "100000000"]
     assert main([*argv, "--out", str(out)]) == 1

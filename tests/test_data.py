@@ -1,10 +1,15 @@
 """Dataset construction, synthetic generation, CSV round trips, and splitting."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xorpso.data
 from xorpso import (
     DatasetError,
     FeatureDataset,
@@ -142,6 +147,27 @@ def test_generate_overflow_is_one_error_naming_the_spec():
     spec = SynthSpec(n_samples=10, n_features=4, n_informative=1, noise_std=1e308)
     with pytest.raises(DatasetError, match="noise_std=1e[+]308, class_separation=2.0"):
         generate_synthetic(spec)
+
+
+def test_generate_beyond_memory_fails_before_any_per_row_array():
+    # the labels and class shifts of 10**7 rows alone take 160 MB; the
+    # 80-petabyte matrix must fail to allocate before them
+    code = """
+import resource
+from xorpso import SynthSpec, generate_synthetic
+spec = SynthSpec(n_samples=10**7, n_features=10**10, n_informative=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    generate_synthetic(spec)
+except MemoryError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    src = Path(xorpso.data.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_synth_spec_round_trips_through_dict():

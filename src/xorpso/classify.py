@@ -6,16 +6,15 @@ with deterministic tie-breaking, so repeated evaluations of the same mask
 are bit-for-bit identical.  One GEMM gives every distance to within a
 proven bound; only the pairs the bound cannot order are summed again
 exactly, column by column.  Every evaluation classifies the validation
-rows ``CHUNK_ROWS`` at a time, so its work memory grows linearly in the row
-count; one given a target count of correct rows stops once the target is
-out of reach.
+rows ``CHUNK_ROWS`` at a time in work matrices of its own, so its memory
+grows linearly in the row count and nothing outlives the call; one given
+a target count of correct rows stops once the target is out of reach.
 :func:`knn_accuracy` is the one evaluation routine; a mask that selects no
 feature is a ValueError.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,26 +166,6 @@ def _chosen_columns(chosen, k):
     return np.flatnonzero(chosen).reshape(-1, k) % chosen.shape[1]
 
 
-_local = threading.local()
-
-
-def _scratch(shape: tuple[int, int]):
-    """This thread's distance, partition and chosen matrices of ``shape``.
-
-    The evaluation's GEMM filter works in row views of them, at most
-    ``CHUNK_ROWS`` rows × the training rows (17 B per entry), and reuses
-    them from chunk to chunk and from call to call while the shape holds,
-    so it writes into pages it already owns.  Each calling thread has its
-    own, so threads that evaluate at once never share one; none may escape
-    a call.
-    """
-    buffers = getattr(_local, "buffers", None)
-    if buffers is None or buffers[0].shape != shape:
-        buffers = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-        _local.buffers = buffers
-    return buffers
-
-
 def knn_accuracy(
     split: SplitDataset,
     mask: np.ndarray,
@@ -245,8 +224,13 @@ def knn_accuracy(
     valid = np.take(split.validation.features, selected, axis=1)
     visit = np.arange(n_val) if misses is None else np.argsort(-misses, kind="stable")
     # the distance step and the selection act row by row, so a row's
-    # prediction depends neither on its chunk nor on the visit order
-    buffers = _scratch((min(CHUNK_ROWS, n_val), train.shape[0]))
+    # prediction depends neither on its chunk nor on the visit order; each
+    # chunk works in row views of this call's own matrices (17 B per entry).
+    # The two float ones share one allocation: glibc's malloc then keeps its
+    # pages from call to call, where two would be handed back to the OS and
+    # faulted in again (a one-chunk call at 20,000 x 16 took twice as long)
+    shape = (min(CHUNK_ROWS, n_val), train.shape[0])
+    buffers = *np.empty((2, *shape)), np.empty(shape, dtype=bool)
     # votes are counted per present class, so no cost depends on label
     # values; argmax takes the first maximum, so ties go to the lower class
     classes = split.train.classes

@@ -301,16 +301,18 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
     Raises
     ------
     DatasetError
-        Missing file, text that is not UTF-8, absent label column, a
-        non-numeric or non-finite cell, a non-integer label or one outside
-        int64 (the message names the offending row and column), fewer than
-        two data rows, or a provenance sidecar that is malformed,
-        contradicts itself (see :class:`SynthProvenance`) or contradicts the
-        file's sample or feature count.
+        Missing file or a path that is not a regular file, text that is
+        not UTF-8, absent label column, a non-numeric or non-finite cell, a
+        non-integer label or one outside int64 (the message names the
+        offending row and column), fewer than two data rows, or a
+        provenance sidecar that is malformed, contradicts itself (see
+        :class:`SynthProvenance`) or contradicts the file's sample or
+        feature count.
     """
     path = Path(path)
     if not path.is_file():
-        raise DatasetError(f"dataset file not found: {path}")
+        what = "path is not a regular file" if path.exists() else "file not found"
+        raise DatasetError(f"dataset {what}: {path}")
     try:
         text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -478,6 +478,9 @@ def run_seeded(
     ``scores`` come from the caller, so one MI scoring serves every run.
     """
     check_seed(seed)
+    if scores.feature_count != split.feature_count:
+        raise ValueError(f"MI scores cover {scores.feature_count} features, "
+                         f"but the split has {split.feature_count}")
     seeding, xor_rng, baseline_rng = (
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(seed).spawn(3)

@@ -580,6 +580,44 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
     assert proc.stdout.strip() == "[]"
 
 
+# GEMM bits differ between OpenBLAS kernels and thread counts;
+# OPENBLAS_CORETYPE takes effect only in a DYNAMIC_ARCH build, as numpy's
+# wheels are
+_SWAPPED_KERNEL = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
+_GEMM_DIGEST = """
+import hashlib
+import numpy as np
+rng = np.random.default_rng(0)
+product = rng.standard_normal((160, 300)) @ rng.standard_normal((300, 640))
+print(hashlib.sha256(product.tobytes()).hexdigest())
+"""
+
+
+def _gemm_digest(env):
+    proc = subprocess.run([sys.executable, "-c", _GEMM_DIGEST], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_golden_digests_hold_under_another_blas_kernel_and_one_thread():
+    # cdist's bound holds for any summation order, so no digest may depend
+    # on how the GEMM sums; tests/test_golden.py is run, not this file, so
+    # the subprocess never starts another
+    env = {**os.environ, **_SWAPPED_KERNEL}
+    if _gemm_digest(os.environ) == _gemm_digest(env):
+        swap = " ".join(f"{name}={value}" for name, value in _SWAPPED_KERNEL.items())
+        pytest.skip(f"{swap} gives this environment's GEMM bytes, so the "
+                    "golden run would show nothing: OpenBLAS is not a "
+                    "DYNAMIC_ARCH build, or that kernel already runs here")
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_golden.py")],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
 def test_public_names_resolve_and_removed_ones_are_gone():
     assert all(hasattr(xorpso, name) for name in xorpso.__all__)
     assert len(set(xorpso.__all__)) == len(xorpso.__all__)
@@ -639,24 +677,49 @@ def test_warm_evaluation_allocates_less_than_one_distance_matrix(synth_split):
     assert peak < 160 * 640 * 8
 
 
-def test_stopping_evaluation_chunks_reuse_the_chunk_buffers(synth_split):
+def _tall_case(synth_split):
+    """The 800 x 32 split (160 validation x 640 training rows), a mask and
+    a misses array."""
     split = synth_split(n_samples=800, n_features=32, n_informative=6,
                         data_seed=11, split_seed=3, class_separation=1.0)
     mask = np.zeros(32, dtype=np.int8)
     mask[::2] = 1
+    return split, mask, np.random.default_rng(0).integers(0, 4, 160)
+
+
+def test_an_evaluation_holds_no_memory_after_it_returns(synth_split):
+    split, mask, misses = _tall_case(synth_split)
     config = KnnConfig(k=5)
-    misses = np.random.default_rng(0).integers(0, 4, 160)
-    assert knn_accuracy(split, mask, config, 160, misses=misses) is None
+    # warm on another split, so a work matrix kept from call to call would
+    # be remade in the traced calls and still be held after them
+    knn_accuracy(_repro_split(synth_split), np.ones(8, dtype=np.int8), config)
     tracemalloc.start()
     try:
-        # one chunk after another, then stops; both reuse the work matrices
-        # the first call made, so neither allocates one chunk's set
-        assert knn_accuracy(split, mask, config, 1, misses=misses) is not None
+        before = tracemalloc.get_traced_memory()[0]
+        assert knn_accuracy(split, mask, config) is not None
         assert knn_accuracy(split, mask, config, 160, misses=misses) is None
-        peak = tracemalloc.get_traced_memory()[1]
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak < CHUNK_ROWS * 640 * 17
+    assert after - before < 64 * 2**10
+
+
+def test_an_evaluation_peaks_below_two_chunk_sets_of_work_matrices(synth_split):
+    split, mask, misses = _tall_case(synth_split)
+    config = KnnConfig(k=5)
+    peaks = []
+    tracemalloc.start()
+    try:
+        # a full evaluation, one that stops late and one that stops after
+        # one chunk; each makes one chunk's set (CHUNK_ROWS x 640 at 17 B
+        # per entry) beside its column gathers, far below a 160-row set
+        for target, counts in ((0, None), (1, misses), (160, misses)):
+            tracemalloc.reset_peak()
+            knn_accuracy(split, mask, config, target, misses=counts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 2 * CHUNK_ROWS * 640 * 17
 
 
 def test_full_evaluation_memory_does_not_grow_with_the_square_of_the_rows(synth_split):

@@ -293,6 +293,9 @@ def test_load_missing_file_names_path(tmp_path):
     missing = tmp_path / "nope.csv"
     with pytest.raises(DatasetError, match="nope.csv"):
         load_dataset(missing)
+    # a directory exists, so it is not called missing
+    with pytest.raises(DatasetError, match="^dataset path is not a regular file: "):
+        load_dataset(tmp_path)
 
 
 def test_load_missing_label_column(tmp_path):

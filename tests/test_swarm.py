@@ -690,6 +690,13 @@ def test_run_seeded_rejects_a_seed_that_is_not_a_non_negative_integer(
         run_seeded(split, scores, PsoConfig(population=4, iterations=2), seed)
 
 
+def test_run_seeded_rejects_scores_of_another_width(synth_split):
+    split = synth_split(n_samples=60, n_features=6, n_informative=2)
+    scores = score_features(synth_split(n_samples=60, n_features=8).train)
+    with pytest.raises(ValueError, match="^MI scores cover 8 features, but the split has 6$"):
+        run_seeded(split, scores, PsoConfig(population=4, iterations=2), 0)
+
+
 @pytest.mark.parametrize("optimizer", ["xor", "baseline"])
 def test_oversized_swarm_is_rejected_before_the_driver_allocates(synth_split, optimizer):
     split = synth_split(n_samples=60, n_features=6, n_informative=2)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from test_acceptance import SMALL_SPEC, SMALL_SPLIT_SEED, WIDE_SPEC, WIDE_SPLIT_SEED
 from xorpso import (
     BaselineConfig,
+    FeatureDataset,
     PsoConfig,
     SynthSpec,
     generate_synthetic,
@@ -43,6 +44,7 @@ ITERATIONS = 12
 SPECS = {
     "small": (SMALL_SPEC, SMALL_SPLIT_SEED, 0.9),
     "wide": (WIDE_SPEC, WIDE_SPLIT_SEED, 0.95),
+    "discrete": (SynthSpec(200, 10, 3, class_separation=0.8, seed=7), 0, 0.9),
 }
 
 GOLDEN = {
@@ -70,6 +72,8 @@ GOLDEN = {
     "wide/baseline/synchronous/0": "76e52d3928762b1b7f7b8f7e03dc7c5295d66d1c84665a466068449bcb7b03e8",
     "wide/baseline/synchronous/1": "56695e383256119f905f0baedf42e293fc63fe2c5a97d5f3fc79422478a573a5",
     "wide/baseline/synchronous/2": "8af36d771a3faee540a182cdb5abc75cca2756bcdede56277069eeef8ee58707",
+    "discrete/xor/asynchronous/0": "d68d148b7e78fa3c7bcd3ba8d39277b1d4b6439c727c1766d325cb6e5df14e3c",
+    "discrete/baseline/asynchronous/0": "e536ddebfb44c3d927eb424c288b48df5860c46539162cd3e526cb4d637a52ef",
 }
 
 
@@ -78,9 +82,15 @@ def prepared():
     """Split and MI scores per instance, built once for all cases."""
     out = {}
     for name, (spec, split_seed, _) in SPECS.items():
-        split = standardize_split(
-            stratified_split(generate_synthetic(spec), 0.2, split_seed)
-        )
+        data = generate_synthetic(spec)
+        if name == "discrete":
+            # three integer levels, left unstandardized: most rows have an
+            # exact distance tie at the k-th place, so the k-NN re-checks them
+            data = FeatureDataset(features=np.digitize(data.features, (-0.5, 0.5)),
+                                  labels=data.labels)
+            split = stratified_split(data, 0.2, split_seed)
+        else:
+            split = standardize_split(stratified_split(data, 0.2, split_seed))
         out[name] = (split, score_features(split.train, bin_count=10))
     return out
 
@@ -117,11 +127,11 @@ def _golden_run(prepared, instance, optimizer, mode, seed) -> str:
 
 CASES = [
     (instance, optimizer, mode, seed)
-    for instance in SPECS
+    for instance in ("small", "wide")
     for optimizer in ("xor", "baseline")
     for mode in ("asynchronous", "synchronous")
     for seed in range(3)
-]
+] + [("discrete", optimizer, "asynchronous", 0) for optimizer in ("xor", "baseline")]
 
 
 @pytest.mark.parametrize("instance,optimizer,mode,seed", CASES)

@@ -47,24 +47,6 @@ class KnnConfig:
             raise ValueError(f"k must be odd to limit vote ties, got {self.k}")
 
 
-def nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of ``dist``.
-
-    Equal distances prefer the lower column index.  Within a row the
-    columns come in ascending index order, not by distance.  A partitioned
-    copy gives each row's k-th smallest distance; every strictly nearer
-    column is chosen, then the lowest-index columns at exactly that
-    distance fill the remaining places.  Entries must not be NaN; ``inf``
-    ties like any other value.
-    """
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    nearer = dist < kth
-    tied = dist == kth
-    room = k - np.count_nonzero(nearer, axis=1, keepdims=True)
-    chosen = nearer | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
-    return _chosen_columns(chosen, k)
-
-
 def cdist(valid: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Squared distances from one GEMM into ``out``; returns a bound per row.
 
@@ -121,7 +103,8 @@ def cdist(valid: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.ndarray:
 def ordered_sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise ``((0 + d₀²) + d₁²) + …`` of ``d = a − b``, summed in column order.
 
-    This is scipy's ``cdist(..., metric="sqeuclidean")`` entry bit for bit.
+    ``a`` may be one row, broadcast against the rows of ``b``.  This is
+    scipy's ``cdist(..., metric="sqeuclidean")`` entry bit for bit.
     """
     with np.errstate(over="ignore"):
         d = a - b
@@ -132,15 +115,17 @@ def ordered_sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _nearest_exact(valid, train, k, dist, part, chosen):
     """Column indices of the k nearest ``train`` rows to each ``valid`` row.
 
-    Exactly :func:`nearest_rows` of the :func:`ordered_sqeuclidean`
-    distances, using ``dist``, ``part`` and ``chosen`` as work matrices.
-    :func:`cdist` gives every distance within E[i] of the exact one, so
-    the k-th exact distance is at most ``kth + E[i]``, with ``kth`` the k-th
+    The k nearest by :func:`ordered_sqeuclidean`, equal distances preferring
+    the lower training row; within a row the columns come in ascending index
+    order.  ``dist``, ``part`` and ``chosen`` are work matrices.
+    :func:`cdist` gives every distance within E[i] of the exact one, so the
+    k-th exact distance is at most ``kth + E[i]``, with ``kth`` the k-th
     GEMM distance.  Every training row at or below the k-th exact distance
     is thus a candidate: GEMM distance at most ``kth + 2·E[i]``.  A row with
-    exactly k candidates is done.  A row with more gets each candidate's
-    exact distance and the tie rules of :func:`nearest_rows`.  A row whose
-    bound is ``inf`` takes every column as a candidate.
+    exactly k candidates is done.  A row with more is re-checked on its own:
+    a stable sort of its candidates' exact distances, taken in column order,
+    keeps the first k.  A row whose bound is ``inf`` takes every column as a
+    candidate.
     """
     bound = cdist(valid, train, out=dist)
     np.copyto(part, dist)
@@ -152,16 +137,10 @@ def _nearest_exact(valid, train, k, dist, part, chosen):
     # every row has at least k candidates, so a total of k per row means
     # that no row needs the re-check
     if np.count_nonzero(chosen) != k * len(chosen):
-        recheck = np.flatnonzero(np.count_nonzero(chosen, axis=1) != k)
-        rows, cols = np.nonzero(chosen[recheck])
-        exact = np.full((recheck.size, train.shape[0]), np.inf)
-        exact[rows, cols] = ordered_sqeuclidean(valid[recheck[rows]], train[cols])
-        chosen[recheck] = False
-        chosen[recheck[:, None], nearest_rows(exact, k)] = True
-    return _chosen_columns(chosen, k)
-
-
-def _chosen_columns(chosen, k):
+        for row in np.flatnonzero(np.count_nonzero(chosen, axis=1) != k):
+            cols = np.flatnonzero(chosen[row])
+            exact = ordered_sqeuclidean(valid[row], train[cols])
+            chosen[row, cols[np.argsort(exact, kind="stable")[k:]]] = False
     # every row holds exactly k chosen columns, so row-major flat indices reshape
     return np.flatnonzero(chosen).reshape(-1, k) % chosen.shape[1]
 

@@ -25,12 +25,7 @@ from xorpso import (
     knn_accuracy,
     run_xor_pso,
 )
-from xorpso.classify import (
-    CHUNK_ROWS,
-    _nearest_exact,
-    nearest_rows,
-    ordered_sqeuclidean,
-)
+from xorpso.classify import CHUNK_ROWS, _nearest_exact, ordered_sqeuclidean
 
 
 def naive_knn(train_x, train_y, val_x, k, mask):
@@ -73,6 +68,18 @@ def _make_split(train_x, train_y, val_x, val_y):
         train=FeatureDataset(features=train_x, labels=train_y),
         validation=FeatureDataset(features=val_x, labels=val_y),
     )
+
+
+def check_against_the_oracle(split, mask, k):
+    """Assert that _nearest_exact and the predictions match a stable sort of
+    scipy's distances: equal distances prefer the lower training row."""
+    cols = np.flatnonzero(mask)
+    valid, train = split.validation.features[:, cols], split.train.features[:, cols]
+    exact = cdist(valid, train, metric="sqeuclidean")
+    work = (np.empty(exact.shape), np.empty(exact.shape), np.empty(exact.shape, bool))
+    got = _nearest_exact(valid, train, k, *work)
+    assert np.array_equal(got, np.sort(argsort_rows(exact, k), axis=1))
+    assert list(predict(split, mask, KnnConfig(k=k))) == argsort_predict(split, mask, k)
 
 
 def predict(split, mask, config):
@@ -219,7 +226,7 @@ def test_accuracy_is_mean_agreement(tiny_split):
     assert knn_accuracy(tiny_split, np.array([0, 1]), config) == expected
 
 
-# --- partial selection against the stable-sort reference ------------------
+# --- neighbour selection against the stable-sort reference ----------------
 
 # value pools that make exact distance ties common: small integers, and
 # finite values so large that squared differences overflow to inf
@@ -256,15 +263,7 @@ def _tie_heavy_instances(draw, n_val=st.integers(2, 6)):
 @settings(max_examples=300, deadline=None)
 @given(_tie_heavy_instances())
 def test_partial_selection_matches_stable_sort(instance):
-    split, mask, k = instance
-    cols = np.flatnonzero(mask)
-    dist = cdist(split.validation.features[:, cols], split.train.features[:, cols],
-                 metric="sqeuclidean")
-    chosen = nearest_rows(dist, k)
-    assert chosen.shape == (dist.shape[0], k)
-    assert np.array_equal(chosen, np.sort(argsort_rows(dist, k), axis=1))
-    got = predict(split, mask, KnnConfig(k=k))
-    assert list(got) == argsort_predict(split, mask, k)
+    check_against_the_oracle(*instance)
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,52 +402,47 @@ def test_threads_sharing_misses_end_with_exact_counts(synth_split):
     assert np.array_equal(misses, rounds * np.sum(wrong, axis=0))
 
 
-@st.composite
-def _dist_matrices(draw):
-    """A distance matrix with many exact ties, and a k it has room for."""
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
-    k = draw(st.integers(1, cols))
-    values = draw(st.sampled_from([INTEGER_VALUES, [0.0, 1.0], [0.0, 1e300, np.inf]]))
-    dist = draw(st.lists(st.lists(st.sampled_from(values), min_size=cols,
-                                  max_size=cols), min_size=rows, max_size=rows))
-    return np.array(dist), k
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_tie_heavy_instances(), min_size=2, max_size=6))
+def test_calls_in_sequence_each_match_the_oracle(calls):
+    # shapes repeat and change from call to call, so a call that read memory
+    # an earlier call of the same or another shape left filled would show
+    for split, mask, k in calls:
+        got = predict(split, mask, KnnConfig(k=k))
+        assert list(got) == argsort_predict(split, mask, k)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(_dist_matrices(), _tie_heavy_instances()),
-                min_size=2, max_size=6))
-def test_calls_in_sequence_each_match_the_oracle(calls):
-    # shapes repeat and change from call to call, so a call may find work
-    # memory that an earlier call of the same or another shape left filled
-    for call in calls:
-        if isinstance(call[0], SplitDataset):
-            split, mask, k = call
-            got = predict(split, mask, KnnConfig(k=k))
-            assert list(got) == argsort_predict(split, mask, k)
-        else:
-            dist, k = call
-            assert np.array_equal(nearest_rows(dist, k),
-                                  np.sort(argsort_rows(dist, k), axis=1))
-
-
-@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_tie_fill_on_some_rows_only_matches_stable_sort(data):
-    # distinct distances in every row, then a tie across the k-th place
-    # planted in a strict, non-empty subset of the rows
-    n_rows = data.draw(st.integers(2, 8))
-    n_cols = data.draw(st.integers(2, 12))
-    k = data.draw(st.integers(1, n_cols - 1))
-    dist = np.array([data.draw(st.permutations(range(n_cols))) for _ in range(n_rows)],
-                    dtype=np.float64)
-    tie_rows = data.draw(st.sets(st.integers(0, n_rows - 1), min_size=1,
-                                 max_size=n_rows - 1))
-    for r in tie_rows:
-        # the rank k-1 column and one beyond it, chosen at random, tie
-        order = np.argsort(dist[r])
-        beyond = data.draw(st.integers(k, n_cols - 1))
-        dist[r, order[beyond]] = dist[r, order[k - 1]]
-    assert np.array_equal(nearest_rows(dist, k), np.sort(argsort_rows(dist, k), axis=1))
+    # training values 4j, j < n, and a block of equal values far beyond
+    # them, all shuffled.  A validation value 4c + 1 or 4c + 3 is at a
+    # distinct distance from every training value; 4c + 2 ties each value
+    # 4c - 4i with 4c + 4 + 4i, so its k-th place (k odd) ties with the
+    # (k + 1)-th; the block's own value ties the whole block at the k-th place
+    k = data.draw(st.sampled_from([1, 3, 5]))
+    n = data.draw(st.integers(2 * k + 3, 24))
+    # more than 16 tied candidates: numpy sorts up to 16 elements by
+    # insertion, which keeps equal keys in order, so only a longer tie shows
+    # an unstable sort
+    block = data.draw(st.integers(17, 24))
+    far = 4.0 * n + 1000
+    values = np.concatenate([4.0 * np.arange(n), np.full(block, far)])
+    train = values[data.draw(st.permutations(range(n + block)))]
+    odd = st.builds(lambda c, r: 4.0 * c + r, st.integers(0, n - 1), st.sampled_from([1, 3]))
+    pair = st.builds(lambda c: 4.0 * c + 2, st.integers(k, n - k - 2))
+    # one row with no tie and one on the block, so the tied rows are a
+    # strict, non-empty subset, in more than one chunk
+    valid = [data.draw(odd), far] + data.draw(st.lists(
+        odd | pair | st.just(far), min_size=CHUNK_ROWS, max_size=3 * CHUNK_ROWS))
+    valid = np.array(data.draw(st.permutations(valid)))
+    n_train, n_val = train.size, valid.size
+    # a constant second column adds nothing to any distance
+    train_x = np.column_stack([train, np.full(n_train, 7.0)])
+    val_x = np.column_stack([valid, np.full(n_val, 7.0)])
+    train_y = data.draw(st.lists(st.integers(0, 2), min_size=n_train, max_size=n_train))
+    split = _make_split(train_x, train_y, val_x, [0] * n_val)
+    check_against_the_oracle(split, np.array([1, 1]), k)
 
 
 # --- the GEMM filter and the exact re-check against scipy's cdist ----------
@@ -501,11 +495,7 @@ def test_gemm_filter_neighbours_match_the_oracle(instance):
     bound = xorpso.classify.cdist(valid, train, approx)
     finite = np.isfinite(bound)
     assert np.all(np.abs(approx[finite] - exact[finite]) <= bound[finite, None])
-    work = (np.empty(exact.shape), np.empty(exact.shape), np.empty(exact.shape, bool))
-    got = _nearest_exact(valid, train, k, *work)
-    assert np.array_equal(got, np.sort(argsort_rows(exact, k), axis=1))
-    mask = np.ones(split.feature_count, dtype=np.int8)
-    assert list(predict(split, mask, KnnConfig(k=k))) == argsort_predict(split, mask, k)
+    check_against_the_oracle(split, np.ones(split.feature_count, dtype=np.int8), k)
 
 
 def test_rows_whose_sums_could_overflow_take_every_column():
@@ -534,6 +524,9 @@ def test_recheck_sum_equals_scipy_bit_for_bit(n_val, n_train, m):
     want = cdist(valid, train, metric="sqeuclidean")[rows, cols]
     got = ordered_sqeuclidean(valid[rows], train[cols])
     assert got.tobytes() == want.tobytes()
+    # one validation row, broadcast against every training row
+    want = cdist(valid[:1], train, metric="sqeuclidean")[0]
+    assert ordered_sqeuclidean(valid[0], train).tobytes() == want.tobytes()
 
 
 def _loaded_by_fresh_import(package):
@@ -621,7 +614,8 @@ def test_golden_digests_hold_under_another_blas_kernel_and_one_thread():
 def test_public_names_resolve_and_removed_ones_are_gone():
     assert all(hasattr(xorpso, name) for name in xorpso.__all__)
     assert len(set(xorpso.__all__)) == len(xorpso.__all__)
-    for name in ("knn_predict", "EmptyMaskError", "_predict_chunks"):
+    for name in ("knn_predict", "EmptyMaskError", "_predict_chunks", "nearest_rows",
+                 "_chosen_columns"):
         assert name not in xorpso.__all__
         assert not hasattr(xorpso, name)
         assert not hasattr(xorpso.classify, name)
@@ -720,6 +714,28 @@ def test_an_evaluation_peaks_below_two_chunk_sets_of_work_matrices(synth_split):
     finally:
         tracemalloc.stop()
     assert max(peaks) < 2 * CHUNK_ROWS * 640 * 17
+
+
+def test_a_fully_tied_evaluation_rechecks_one_row_at_a_time(synth_split):
+    split, mask, _ = _tall_case(synth_split)
+    # the 16 selected columns are constant, so every distance ties and every
+    # row re-checks all 640 training rows
+    train_x, val_x = np.array(split.train.features), np.array(split.validation.features)
+    train_x[:, mask == 1], val_x[:, mask == 1] = 1.0, 1.0
+    split = _make_split(train_x, split.train.labels, val_x, split.validation.labels)
+    config = KnnConfig(k=5)
+    want = np.mean(argsort_predict(split, mask, 5) == split.validation.labels)
+    assert knn_accuracy(split, mask, config) == want
+    tracemalloc.start()
+    try:
+        knn_accuracy(split, mask, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk's work matrices beside the column gathers, and a few copies
+    # of one row's 640 x 16 candidate block; a chunk-wide re-check (CHUNK_ROWS
+    # x 640 pairs of 16-column rows) took 8.8 MB
+    assert peak < 2 * CHUNK_ROWS * 640 * 17 + 4 * 640 * 16 * 8
 
 
 def test_full_evaluation_memory_does_not_grow_with_the_square_of_the_rows(synth_split):

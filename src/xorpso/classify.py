@@ -40,9 +40,7 @@ class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
-        check_integer("k", self.k)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_integer("k", self.k, minimum=1)
         if self.k % 2 == 0:
             raise ValueError(f"k must be odd to limit vote ties, got {self.k}")
 
@@ -174,9 +172,7 @@ def knn_accuracy(
     a malformed ``misses``, a mask of the wrong length or with no feature
     selected, or a k above the training row count.
     """
-    check_integer("target", target)
-    if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
+    check_integer("target", target, minimum=0)
     n_val = split.validation.sample_count
     if misses is not None and (not isinstance(misses, np.ndarray)
                                or misses.dtype.kind != "i" or misses.shape != (n_val,)

@@ -39,7 +39,7 @@ from .data import (
     FeatureDataset,
     SplitDataset,
     SynthSpec,
-    check_seed,
+    check_integer,
     generate_synthetic,
     load_dataset,
     require_two_classes,
@@ -104,7 +104,7 @@ class RunConfig:
                 f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
                 f"got {self.optimizer!r}"
             )
-        check_seed(self.seed, CliError)
+        check_integer("seed", self.seed, CliError, minimum=0)
 
     def to_dict(self) -> dict:
         return asdict(self)

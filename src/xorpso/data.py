@@ -1,8 +1,8 @@
 """Dataset loading, stratified splitting, and synthetic data generation.
 
 All datasets are plain labeled feature matrices: float64 features, integer
-class labels.  Arrays are frozen after construction so datasets can be
-shared freely across concurrent fitness evaluations.
+class labels.  Arrays are frozen after construction, so a dataset's cached
+``classes`` stay valid for as long as the dataset lives.
 """
 
 from __future__ import annotations
@@ -26,13 +26,19 @@ class DatasetError(ValueError):
     """Raised for unreadable, malformed, or internally inconsistent datasets."""
 
 
-def check_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+def check_integer(
+    name: str, value, error: type[ValueError] = ValueError, *, minimum: int | None = None
+) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is an int or numpy integer.
 
-    A bool is refused although Python counts it as an int.
+    A bool is refused although Python counts it as an int.  With a
+    ``minimum``, a value below it is refused too; this is the one place
+    that words an integer setting's floor.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_real(name: str, value, error: type[ValueError] = ValueError) -> None:
@@ -44,13 +50,6 @@ def check_real(name: str, value, error: type[ValueError] = ValueError) -> None:
     real = (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, real):
         raise error(f"{name} must be a real number, got {value!r}")
-
-
-def check_seed(seed, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless ``seed`` is a non-negative integer."""
-    check_integer("seed", seed, error)
-    if seed < 0:
-        raise error(f"seed must be >= 0, got {seed}")
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -79,13 +78,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "n_features", "n_informative"):
-            check_integer(name, getattr(self, name), DatasetError)
-        check_seed(self.seed, DatasetError)
-        if self.n_samples < 4:
-            raise DatasetError(f"n_samples must be >= 4, got {self.n_samples}")
-        if self.n_features < 1:
-            raise DatasetError(f"n_features must be >= 1, got {self.n_features}")
+        for name, minimum in (("n_samples", 4), ("n_features", 1),
+                              ("n_informative", None), ("seed", 0)):
+            check_integer(name, getattr(self, name), DatasetError, minimum=minimum)
         if not 1 <= self.n_informative <= self.n_features:
             raise DatasetError(
                 f"n_informative must be in [1, n_features={self.n_features}], "
@@ -117,6 +112,8 @@ class SynthProvenance:
 
     def __post_init__(self):
         indices, spec = self.informative_indices, self.spec
+        for i in indices:
+            check_integer("informative index", i, DatasetError)
         if (
             len(set(indices)) != len(indices)
             or len(indices) != spec.n_informative
@@ -137,7 +134,7 @@ class SynthProvenance:
     def from_dict(cls, d: dict) -> "SynthProvenance":
         return cls(
             spec=SynthSpec.from_dict(d["spec"]),
-            informative_indices=tuple(int(i) for i in d["informative_indices"]),
+            informative_indices=tuple(d["informative_indices"]),
         )
 
 
@@ -152,8 +149,8 @@ class FeatureDataset:
     labels : array_like, shape (n_samples,)
         Non-negative integer class indices, one per row.
     provenance : SynthProvenance, optional
-        Present on synthetic datasets; records the generating spec and the
-        planted informative column indices.
+        Present on generated datasets, not on their split parts; records
+        the generating spec and the planted informative column indices.
     """
 
     features: np.ndarray
@@ -469,8 +466,9 @@ def stratified_split(
     """Partition a dataset into disjoint train/validation subsets, stratified by class.
 
     Per class, ``floor(count * validation_fraction)`` samples (at least one)
-    go to validation; both partitions keep the original row order.  The
-    assignment is a pure function of (dataset, fraction, seed).
+    go to validation; both partitions keep the original row order and
+    carry no provenance.  The assignment is a pure function of (dataset,
+    fraction, seed).
 
     Raises
     ------
@@ -481,7 +479,7 @@ def stratified_split(
         both partitions hold at least two rows.
     """
     check_real("validation_fraction", validation_fraction, DatasetError)
-    check_seed(seed, DatasetError)
+    check_integer("seed", seed, DatasetError, minimum=0)
     if not 0.0 < validation_fraction < 1.0:
         raise DatasetError(
             f"validation_fraction must be in (0, 1), got {validation_fraction}"
@@ -500,15 +498,11 @@ def stratified_split(
         n_val = max(1, int(math.floor(idx.size * validation_fraction)))
         perm = rng.permutation(idx.size)
         val_rows[idx[perm[:n_val]]] = True
-
-    def subset(rows_mask):
-        return FeatureDataset(
-            features=dataset.features[rows_mask],
-            labels=dataset.labels[rows_mask],
-            provenance=dataset.provenance,
-        )
-
-    return SplitDataset(train=subset(~val_rows), validation=subset(val_rows))
+    train, validation = (
+        FeatureDataset(features=dataset.features[rows], labels=labels[rows])
+        for rows in (~val_rows, val_rows)
+    )
+    return SplitDataset(train=train, validation=validation)
 
 
 def standardize_split(split: SplitDataset) -> SplitDataset:
@@ -536,7 +530,7 @@ def standardize_split(split: SplitDataset) -> SplitDataset:
             "standard deviation or a standardized value overflows float64"
         )
     train, validation = (
-        FeatureDataset(features=values, labels=ds.labels, provenance=ds.provenance)
+        FeatureDataset(features=values, labels=ds.labels)
         for values, ds in zip(scaled, parts)
     )
     return SplitDataset(train=train, validation=validation)

@@ -219,9 +219,7 @@ def seed_masks(
     row i for mask i, which is the same stream as one length-n draw per
     mask in emission order.
     """
-    check_integer("population", population)
-    if population < 1:
-        raise ValueError(f"population must be >= 1, got {population}")
+    check_integer("population", population, minimum=1)
     n = scores.feature_count
     check_swarm_size(population, n)
     n_seeded = int(population * SEEDED_FRACTION + 0.5)

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .classify import KnnConfig, knn_accuracy
-from .data import SplitDataset, check_integer, check_real, check_seed
+from .data import SplitDataset, check_integer, check_real
 from .rank import MiScores, check_swarm_size, seed_masks
 
 ASYNCHRONOUS = "asynchronous"
@@ -86,14 +86,10 @@ class PsoConfig:
     update_mode: str = ASYNCHRONOUS
 
     def __post_init__(self):
-        check_integer("population", self.population)
-        check_integer("iterations", self.iterations)
+        check_integer("population", self.population, minimum=1)
+        check_integer("iterations", self.iterations, minimum=1)
         check_real("w_initial", self.w_initial)
         check_real("accuracy_threshold", self.accuracy_threshold)
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.w_initial <= 1.0:
             raise ValueError(f"w_initial must be in (0, 1], got {self.w_initial}")
         if not 0.0 < self.accuracy_threshold <= 1.0:
@@ -182,8 +178,7 @@ def inertia_at(iteration: int, config: PsoConfig) -> float:
     ``max(0, w_initial - W_DECAY * floor(iteration / W_PERIOD))``: the weight
     starts at ``config.w_initial`` and loses 0.05 every 5 iterations.
     """
-    if iteration < 0:
-        raise ValueError(f"iteration must be >= 0, got {iteration}")
+    check_integer("iteration", iteration, minimum=0)
     return max(0.0, config.w_initial - W_DECAY * (iteration // W_PERIOD))
 
 
@@ -211,17 +206,18 @@ def evaluate_particle(
     *,
     misses: np.ndarray | None = None,
 ) -> tuple[float, float] | None:
-    """Validation accuracy and fitness for a mask; (0, -1) for empty masks.
+    """Validation accuracy and fitness for a mask; (0, -1) for an empty one.
 
     Identical inputs give identical outputs.  With no ``bar`` every
     validation row is classified.  With a ``bar``, a non-empty mask's
     evaluation stops, returning None, once its fitness can no longer
     exceed ``bar``; when no accuracy could exceed it, it stops after
     one chunk of rows.  ``misses`` is passed to
-    :func:`~xorpso.classify.knn_accuracy`.
+    :func:`~xorpso.classify.knn_accuracy`, which also rejects a mask of
+    the wrong shape, empty or not.
     """
     n_selected = selected_count(mask)
-    if n_selected == 0:
+    if n_selected == 0 and np.shape(mask) == (split.feature_count,):
         return 0.0, EMPTY_MASK_FITNESS
     n, threshold = split.feature_count, config.accuracy_threshold
     n_val = split.validation.sample_count
@@ -477,7 +473,7 @@ def run_seeded(
     :func:`run_xor_pso` on the XOR stream.
     ``scores`` come from the caller, so one MI scoring serves every run.
     """
-    check_seed(seed)
+    check_integer("seed", seed, minimum=0)
     if scores.feature_count != split.feature_count:
         raise ValueError(f"MI scores cover {scores.feature_count} features, "
                          f"but the split has {split.feature_count}")

@@ -539,10 +539,19 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
         '"informative_indices": [1, 1]}',
         '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 1}, '
         '"informative_indices": [0, 1]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 2}, '
+        '"informative_indices": [0.9, 1.5]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 2}, '
+        '"informative_indices": [true, 0]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 2}, '
+        '"informative_indices": ["1", "0"]}',
+        '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 2}, '
+        '"informative_indices": "10"}',
     ],
     ids=["empty-object", "unknown-spec-key", "not-json",
          "wrong-sample-count", "wrong-feature-count", "index-out-of-range",
-         "negative-index", "repeated-index", "count-differs"],
+         "negative-index", "repeated-index", "count-differs",
+         "fractional-indices", "bool-index", "string-indices", "string-of-digits"],
 )
 def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sidecar):
     path = tmp_path / "d.csv"

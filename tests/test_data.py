@@ -260,6 +260,19 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert provenance_path(path).is_file()
 
 
+def test_split_parts_save_and_load_without_provenance(tmp_path):
+    ds = generate_synthetic(SynthSpec(40, 5, 2, seed=8))
+    split = stratified_split(ds, 0.2, 0)
+    scaled = standardize_split(split)
+    for part in (split.train, split.validation, scaled.train, scaled.validation):
+        assert part.provenance is None
+        path = tmp_path / "part.csv"
+        save_dataset(part, path)
+        back = load_dataset(path)
+        assert np.array_equal(back.features, part.features)
+        assert back.provenance is None
+
+
 def test_save_without_provenance_removes_an_old_sidecar(tmp_path):
     path = tmp_path / "data.csv"
     save_dataset(generate_synthetic(SynthSpec(12, 3, 1, seed=8)), path)

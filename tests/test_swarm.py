@@ -43,6 +43,8 @@ from xorpso import (
     xor_velocity_update,
 )
 from xorpso.classify import CHUNK_ROWS
+from xorpso.cli import CliError, RunConfig
+from xorpso.data import DatasetError
 from xorpso.swarm import TRACE_FIELDS
 
 
@@ -179,6 +181,57 @@ def test_velocity_update_rejects_length_mismatch():
 
 
 # --- config validation ----------------------------------------------------
+
+def _floor_split():
+    return stratified_split(generate_synthetic(SynthSpec(12, 3, 1)), 0.25, 0)
+
+
+# (entry point taking the value, its name, its floor, the error class raised)
+INTEGER_FLOORS = {
+    "PsoConfig.population": (lambda v: PsoConfig(population=v), "population", 1,
+                             ValueError),
+    "PsoConfig.iterations": (lambda v: PsoConfig(iterations=v), "iterations", 1,
+                             ValueError),
+    "KnnConfig.k": (lambda v: KnnConfig(k=v), "k", 1, ValueError),
+    "knn_accuracy.target": (
+        lambda v: knn_accuracy(_floor_split(), np.ones(3), KnnConfig(k=1), v),
+        "target", 0, ValueError),
+    "seed_masks.population": (
+        lambda v: seed_masks(score_features(_floor_split().train), v,
+                             rng=np.random.default_rng(0)),
+        "population", 1, ValueError),
+    "SynthSpec.n_samples": (lambda v: SynthSpec(v, 3, 1), "n_samples", 4,
+                            DatasetError),
+    "SynthSpec.n_features": (lambda v: SynthSpec(8, v, 1), "n_features", 1,
+                             DatasetError),
+    "SynthSpec.seed": (lambda v: SynthSpec(8, 3, 1, seed=v), "seed", 0,
+                       DatasetError),
+    "stratified_split.seed": (
+        lambda v: stratified_split(generate_synthetic(SynthSpec(12, 3, 1)), 0.25, v),
+        "seed", 0, DatasetError),
+    "run_seeded.seed": (
+        lambda v: run_seeded(_floor_split(), score_features(_floor_split().train),
+                             PsoConfig(population=2, iterations=1), v),
+        "seed", 0, ValueError),
+    "RunConfig.seed": (lambda v: RunConfig(seed=v), "seed", 0, CliError),
+    "inertia_at.iteration": (lambda v: inertia_at(v, PsoConfig()), "iteration", 0,
+                             ValueError),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_FLOORS)
+def test_every_integer_floor_is_refused_in_one_wording(entry):
+    call, name, floor, error = INTEGER_FLOORS[entry]
+    with pytest.raises(error) as below:
+        call(floor - 1)
+    assert type(below.value) is error
+    assert str(below.value) == f"{name} must be >= {floor}, got {floor - 1}"
+    with pytest.raises(error) as flag:
+        call(True)
+    assert type(flag.value) is error
+    assert str(flag.value) == f"{name} must be an integer, got True"
+    call(np.int64(floor))
+
 
 def test_pso_config_validation():
     with pytest.raises(ValueError):
@@ -774,6 +827,12 @@ def test_evaluate_empty_mask_returns_sentinel(tiny_split):
         np.array([0, 0], dtype=np.int8), tiny_split, PsoConfig(knn=KnnConfig(k=1))
     )
     assert (acc, fit) == (0.0, -1.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), ()], ids=["short", "2-d", "scalar"])
+def test_evaluate_rejects_an_empty_mask_of_the_wrong_shape(tiny_split, shape):
+    with pytest.raises(ValueError, match="does not match feature count 2"):
+        evaluate_particle(np.zeros(shape), tiny_split, PsoConfig(knn=KnnConfig(k=1)))
 
 
 def test_all_ones_mask_on_exactly_separable_data():

@@ -203,6 +203,11 @@ def _load_config_file(path: str) -> dict:
         ) from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from None
+    except ValueError:  # an integer literal that int() refuses to convert
+        raise CliError(f"config file {path} holds an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise CliError(f"config file {path} nests JSON arrays or objects too deeply") from None
     if isinstance(obj, dict) and isinstance(obj.get("config"), dict):
         obj = obj["config"]  # a result.json works directly as a config file
     if not isinstance(obj, dict):

@@ -95,13 +95,6 @@ class SynthSpec:
         if self.noise_std < 0:
             raise DatasetError("noise_std must be non-negative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SynthProvenance:
@@ -109,33 +102,6 @@ class SynthProvenance:
 
     spec: SynthSpec
     informative_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        indices, spec = self.informative_indices, self.spec
-        for i in indices:
-            check_integer("informative index", i, DatasetError)
-        if (
-            len(set(indices)) != len(indices)
-            or len(indices) != spec.n_informative
-            or not all(0 <= i < spec.n_features for i in indices)
-        ):
-            raise DatasetError(
-                f"informative_indices {list(indices)} must be {spec.n_informative} "
-                f"distinct indices in [0, {spec.n_features})"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "informative_indices": list(self.informative_indices),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthProvenance":
-        return cls(
-            spec=SynthSpec.from_dict(d["spec"]),
-            informative_indices=tuple(d["informative_indices"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -149,8 +115,9 @@ class FeatureDataset:
     labels : array_like, shape (n_samples,)
         Non-negative integer class indices, one per row.
     provenance : SynthProvenance, optional
-        Present on generated datasets, not on their split parts; records
-        the generating spec and the planted informative column indices.
+        Present on generated datasets only: not on their split parts, nor on
+        a loaded file; records the generating spec and the planted
+        informative column indices.
     """
 
     features: np.ndarray
@@ -284,8 +251,8 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
 
     The label column is removed from the features; the remaining columns
     become features in header order, so feature index j is the j-th
-    non-label column.  A provenance sidecar written by :func:`save_dataset`
-    is restored when present.
+    non-label column.  A provenance sidecar beside the file is not read,
+    so the dataset carries no provenance.
 
     Parameters
     ----------
@@ -301,10 +268,9 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
         Missing file or a path that is not a regular file, text that is
         not UTF-8, absent label column, a non-numeric or non-finite cell, a
         non-integer label or one outside int64 (the message names the
-        offending row and column), fewer than two data rows, or a
-        provenance sidecar that is malformed, contradicts itself (see
-        :class:`SynthProvenance`) or contradicts the file's sample or
-        feature count.
+        offending row and column), a record the CSV reader refuses, such
+        as a cell past its field size limit (the message names the line),
+        or fewer than two data rows.
     """
     path = Path(path)
     if not path.is_file():
@@ -316,12 +282,11 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
         raise DatasetError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: file is empty")
         header = [h.strip() for h in header]
         if label_column not in header:
             raise DatasetError(
@@ -360,31 +325,14 @@ def load_dataset(path, label_column: str = "label") -> FeatureDataset:
                         f"{path}: line {line_no}, column {header[pos]!r}: {exc}"
                     ) from None
             rows.append(feats_row)
-
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     if not feature_names:
         raise DatasetError(f"{path}: no feature columns besides {label_column!r}")
     if len(rows) < 2:
         raise DatasetError(f"{path}: need at least 2 data rows, found {len(rows)}")
-
-    provenance = None
-    sidecar = provenance_path(path)
-    if sidecar.is_file():
-        try:
-            record = json.loads(sidecar.read_text(encoding="utf-8"))
-            provenance = SynthProvenance.from_dict(record)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetError(f"{sidecar}: malformed provenance sidecar: {exc!r}") from None
-        spec = provenance.spec
-        if (spec.n_samples, spec.n_features) != (len(rows), len(feature_names)):
-            raise DatasetError(
-                f"{sidecar}: provenance sidecar contradicts {path.name}: it claims "
-                f"{spec.n_samples} samples and {spec.n_features} features, "
-                f"the file has {len(rows)} samples and {len(feature_names)} features"
-            )
     return FeatureDataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        provenance=provenance,
+        features=np.array(rows, dtype=np.float64), labels=np.array(labels, dtype=np.int64)
     )
 
 
@@ -393,7 +341,8 @@ def save_dataset(dataset: FeatureDataset, path, label_column: str = "label") -> 
 
     Floats are written with ``repr`` so a save/load round trip reproduces
     every value exactly.  Synthetic provenance, when present, goes to a
-    JSON sidecar next to the CSV, written first; without provenance, an
+    JSON sidecar next to the CSV, written first, for people to read;
+    :func:`load_dataset` does not read it back.  Without provenance, an
     old sidecar there is deleted.
     """
     path = Path(path)
@@ -404,7 +353,7 @@ def save_dataset(dataset: FeatureDataset, path, label_column: str = "label") -> 
         writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
     sidecar = provenance_path(path)
     if dataset.provenance is not None:
-        write_atomic(sidecar, json.dumps(dataset.provenance.to_dict(), indent=2) + "\n")
+        write_atomic(sidecar, json.dumps(asdict(dataset.provenance), indent=2) + "\n")
     else:
         sidecar.unlink(missing_ok=True)
     write_atomic(path, text.getvalue())

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: config resolution, outputs, and error paths."""
 
 import contextlib
+import csv
 import dataclasses
 import inspect
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import statistics
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -520,6 +522,9 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# load_dataset never reads a provenance sidecar, so none of these can change
+# a result: not JSON, a wrong shape, indices that contradict the spec or the
+# file, or nesting deep enough to exhaust the JSON parser's recursion
 @pytest.mark.parametrize(
     "sidecar",
     [
@@ -547,22 +552,28 @@ def test_one_class_dataset_is_one_error_line(tmp_path, capsys):
         '"informative_indices": ["1", "0"]}',
         '{"spec": {"n_samples": 4, "n_features": 2, "n_informative": 2}, '
         '"informative_indices": "10"}',
+        "[" * 200_000,
     ],
     ids=["empty-object", "unknown-spec-key", "not-json",
          "wrong-sample-count", "wrong-feature-count", "index-out-of-range",
          "negative-index", "repeated-index", "count-differs",
-         "fractional-indices", "bool-index", "string-indices", "string-of-digits"],
+         "fractional-indices", "bool-index", "string-indices", "string-of-digits",
+         "deep-nesting"],
 )
-def test_malformed_provenance_sidecar_is_one_error_line(tmp_path, capsys, sidecar):
-    path = tmp_path / "d.csv"
-    path.write_text("f0,f1,label\n1,2,0\n2,3,1\n3,1,0\n4,4,1\n")
-    (tmp_path / "d.provenance.json").write_text(sidecar)
-    code = main(["mi-report", "--data", str(path), "--out", str(tmp_path / "mi")])
-    assert code == 1
-    err = _one_error_line(capsys)
-    assert "d.provenance.json" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "mi").exists()
+def test_a_provenance_sidecar_is_never_read(tmp_path, sidecar):
+    text = "f0,f1,label\n1,2,0\n2,3,1\n3,1,0\n4,4,1\n"
+    for name in ("plain", "beside"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "d.csv").write_text(text)
+    (tmp_path / "beside" / "d.provenance.json").write_text(sidecar)
+    mi = []
+    for name in ("plain", "beside"):
+        out = tmp_path / name / "mi"
+        assert main(["mi-report", "--data", str(tmp_path / name / "d.csv"),
+                     "--out", str(out)]) == 0
+        mi.append((out / "mi.csv").read_bytes())
+    assert mi[0] == mi[1]
+    assert load_dataset(tmp_path / "beside" / "d.csv").provenance is None
 
 
 def test_csv_may_start_with_a_byte_order_mark(tmp_path):
@@ -601,6 +612,12 @@ def test_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, flag, text):
                      id="not-json"),
         pytest.param(lambda path: path.write_text("[1, 2]"), "must hold a JSON object",
                      id="array"),
+        pytest.param(lambda path: path.write_text("[" * 200_000), "nests JSON",
+                     id="deep-nesting"),
+        # past int()'s digit limit; the message gives no advice meant for code
+        pytest.param(lambda path: path.write_text('{"population": %s}' % ("7" * 5000)),
+                     f"integer of more than {sys.get_int_max_str_digits()} digits",
+                     id="huge-integer"),
     ],
 )
 def test_unusable_config_file_is_one_error_line(tmp_path, capsys, make, message):
@@ -610,7 +627,22 @@ def test_unusable_config_file_is_one_error_line(tmp_path, capsys, make, message)
     err = _one_error_line(capsys)
     assert str(cfg) in err
     assert message in err
+    assert "sys." not in err
     assert not out.exists()
+
+
+# csv.Error is no ValueError: the loader words it as the file and its line
+@pytest.mark.parametrize("text,line", [
+    ("f0,{cell},label\n1,2,0\n2,3,1\n", 1),
+    ("f0,label\n1,0\n{cell},1\n2,1\n", 3),
+], ids=["header", "body"])
+def test_cell_past_the_csv_field_limit_is_one_error_line(tmp_path, capsys, text, line):
+    path = tmp_path / "f.csv"
+    path.write_text(text.format(cell="1" * (csv.field_size_limit() + 1)))
+    assert main(["select", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = _one_error_line(capsys)
+    assert f"{path}: line {line}: field larger than field limit" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["select", "mi-report"])
@@ -824,7 +856,7 @@ def test_mi_report_ranks_planted_features_first(tmp_path):
     assert header == "rank,feature_index,feature,score"
     assert len(rows) == 8
     planted = set(
-        load_dataset(gen / "synth.csv").provenance.informative_indices
+        json.loads((gen / "synth.provenance.json").read_text())["informative_indices"]
     )
     top = {int(rows[i].split(",")[1]) for i in range(2)}
     assert top == planted
@@ -894,7 +926,12 @@ def test_synth_gen_round_trips_through_load(tmp_path):
     direct = generate_synthetic(parse_synth(SMALL))
     assert np.array_equal(back.features, direct.features)
     assert np.array_equal(back.labels, direct.labels)
-    assert back.provenance == direct.provenance
+    assert back.provenance is None
+    sidecar = json.loads((out / "synth.provenance.json").read_text())
+    assert sidecar == {
+        "spec": dataclasses.asdict(direct.provenance.spec),
+        "informative_indices": list(direct.provenance.informative_indices),
+    }
 
 
 def test_synth_gen_requires_a_spec(capsys):

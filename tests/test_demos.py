@@ -28,6 +28,8 @@ def test_demo_runs_to_completion(name, capsys):
     out, err = capsys.readouterr()
     assert out.strip()
     assert err == ""
+    # a self-check prints its verdict last on its line
+    assert not [line for line in out.splitlines() if line.rstrip().endswith("False")]
 
 
 def test_readme_quick_start_runs(capsys):
